@@ -1,42 +1,38 @@
 """Scaling bench — scheduling-kernel perf trajectory (``BENCH_sched.json``).
 
 Sweeps the batch heuristics over growing meta-requests on the Table-6 shape
-(inconsistent Hi/Hi heterogeneity, 16 machines) and records per-heuristic
-wall time of the reference loops vs the vectorised kernels vs the
-heap-backed scale kernels (:mod:`repro.scheduling.scale`), plus the
-speedups, as a machine-readable JSON artifact at the repository root.  The
-artifact is the project's perf trajectory: regenerate it after kernel work
-and commit it so regressions show up in review as a diff.
+(inconsistent Hi/Hi heterogeneity, 16 machines) and records, per
+heuristic, the wall time of the reference loop and of the kernel its public
+name runs (``make_heuristic(name)``: Min-min's sorted claim queues, Max-min's
+and Sufferage's vectorised rounds), plus the speedup, as a
+machine-readable JSON artifact at the repository root.  The artifact is the
+project's perf trajectory: regenerate it after kernel work and commit it so
+regressions show up in review as a diff.
 
 Three entry points:
 
-* ``test_sched_kernel_smoke`` — CI guard: runs the smallest size (all
-  three kernel families, schema validated in-memory, vectorised must not
-  fall behind the reference by more than 1.5x) **and** one large-n
-  chunked case (n=4096, chunks smaller than the workload) asserting the
-  heap kernels stay bit-identical to the vectorised ones and inside the
-  same 1.5x envelope.
+* ``test_sched_kernel_smoke`` — CI guard: runs the smallest size (schema
+  validated in-memory, each kernel must not fall behind its reference by
+  more than 1.5x) **and** one chunked Min-min case (n=1024, chunks smaller
+  than the workload) asserting the claim queues stay bit-identical to the
+  reference and at least 4x faster than it.
 * ``test_sched_kernel_scale_smoke`` — opt-in via ``BENCH_SCHED_SCALE=1``
-  (CI runs it as its own job): the n=10⁵ scale path, pinned by digest
+  (CI runs it as its own job): the n=10⁵ Min-min path, pinned by digest
   against the committed trajectory's workload instead of an in-run
-  oracle — the vectorised kernel would need minutes where the scale
-  kernel needs seconds.
+  oracle — the reference loop would need far longer than the kernel.
 * ``test_sched_kernel_full_sweep`` — the real sweep; opt-in via
   ``BENCH_SCHED_FULL=1`` since it plans up to 10⁶ tasks.  Writes
   ``BENCH_sched.json``.
 
 Caps keep the sweep honest *and* finite: reference timings stop at
 ``REFERENCE_CAP`` tasks (the pure-Python loops are quadratic in
-practice), vectorised timings at ``VECTORIZED_CAP`` (dense O(n) rescans
-per round), and each heap kernel at its own ``HEAP_CAPS`` entry —
-Min-min's claim queues reach 10⁶, while Max-min and Sufferage do not
-decompose per machine and stay parity-class with the vectorised kernels
-(their value at scale is the bounded-memory streamed assembly), so
-timing them past 10⁵ would only burn hours re-measuring a known
-quadratic.  Above a cap the corresponding field is ``null``.  Whenever
-two kernel families run at the same size their plans are asserted
-identical, so every artifact regeneration re-proves bit-identity at the
-overlapping sizes.
+practice), and each kernel at its own ``KERNEL_CAPS`` entry — Min-min's
+claim queues reach 10⁶, while the Max-min and Sufferage rounds rescan O(n)
+state per round, so timing them past 10⁵ would only burn hours
+re-measuring a known quadratic.  Above a cap the corresponding field is
+``null``.  Wherever the reference runs, the kernel's plan is asserted
+identical to it, so every artifact regeneration re-proves bit-identity at
+the overlapping sizes.
 """
 
 from __future__ import annotations
@@ -51,55 +47,46 @@ import numpy as np
 import pytest
 
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.fast import (
-    FastMaxMinHeuristic,
-    FastMinMinHeuristic,
-    FastSufferageHeuristic,
-)
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
-from repro.scheduling.scale import (
-    HeapMaxMinHeuristic,
-    HeapMinMinHeuristic,
-    HeapSufferageHeuristic,
-)
+from repro.scheduling.registry import make_heuristic
+from repro.scheduling.scale import HeapMinMinHeuristic
 from repro.scheduling.sufferage import SufferageHeuristic
 from repro.workloads.consistency import Consistency
 from repro.workloads.heterogeneity import HIHI
 from repro.workloads.scenario import ScenarioSpec, materialize
 
-SCHEMA = "repro.bench.sched/v2"
+SCHEMA = "repro.bench.sched/v3"
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_sched.json"
 SIZES = (64, 256, 1024, 4096, 100_000, 1_000_000)
 N_MACHINES = 16
 SEED = 0
 REFERENCE_CAP = 1024
-VECTORIZED_CAP = 100_000
-HEAP_CAPS = {"min-min": 1_000_000, "max-min": 100_000, "sufferage": 100_000}
+KERNEL_CAPS = {"min-min": 1_000_000, "max-min": 100_000, "sufferage": 100_000}
 REPEATS = 3
 #: Above this size one timed run (after a cheap cache warm-up) replaces
 #: best-of-``REPEATS``: the kernels run for seconds-to-minutes, far above
 #: timer noise, and the sweep must terminate on one core.
 SINGLE_REPEAT_ABOVE = 4096
-#: CI guard: the vectorised kernel must not fall behind the reference by
-#: more than this factor at the smoke size.
+#: CI guard: no kernel may fall behind its reference by more than this
+#: factor at the smoke size.
 SMOKE_SLOWDOWN_LIMIT = 1.5
-#: CI guard for the large-n chunked smoke: max heap/vectorized wall-time
-#: ratio per family.  Measured ratios at n=4096 on one core: min-min 0.25
-#: (the claim queues must keep *winning* — 0.75 is a real regression, not
-#: noise), max-min 1.01 and sufferage 1.45 (parity-class by design — their
-#: scale value is the bounded-memory streamed assembly — so the envelope
-#: gates the measured parity with CI-noise slack).
-SMOKE_HEAP_ENVELOPE = {"min-min": 0.75, "max-min": 1.5, "sufferage": 2.0}
-#: Chunk size of the large-n smoke case — smaller than the workload so the
+#: CI guard for the chunked Min-min smoke: minimum reference/kernel
+#: wall-time ratio at ``SMOKE_RATIO_N``.  Measured 8.4x on one core; below
+#: 4x the claim queues have lost their O(m) round cost, which is a real
+#: regression, not noise.
+SMOKE_MIN_MIN_SPEEDUP = 4.0
+SMOKE_RATIO_N = 1024
+#: Chunk size of the chunked smoke case — smaller than the workload so the
 #: streaming assembly is genuinely exercised.
-SMOKE_CHUNK = 1024
+SMOKE_CHUNK = 256
 
-TRIPLES = (
-    ("min-min", MinMinHeuristic, FastMinMinHeuristic, HeapMinMinHeuristic),
-    ("max-min", MaxMinHeuristic, FastMaxMinHeuristic, HeapMaxMinHeuristic),
-    ("sufferage", SufferageHeuristic, FastSufferageHeuristic, HeapSufferageHeuristic),
+#: Public name → its reference loop (the bit-identity oracle).
+REFERENCES = (
+    ("min-min", MinMinHeuristic),
+    ("max-min", MaxMinHeuristic),
+    ("sufferage", SufferageHeuristic),
 )
 
 
@@ -150,50 +137,34 @@ def plan_digest(plan) -> str:
 
 
 def run_sweep(sizes, repeats: int = REPEATS) -> dict:
-    """Time every kernel family at every size; returns the JSON payload."""
+    """Time each public kernel and its reference at every size; the JSON payload."""
     results = []
     for n_tasks in sizes:
         requests, costs, avail = build_case(n_tasks)
         reps = 1 if n_tasks > SINGLE_REPEAT_ABOVE else repeats
         if reps == 1:
             warm_provider(requests, costs)
-        for name, Reference, Fast, Heap in TRIPLES:
-            fast_s = fast_plan = None
-            if n_tasks <= VECTORIZED_CAP:
-                fast_s, fast_plan = time_plan(Fast(), requests, costs, avail, reps)
-            heap_s = heap_plan = None
-            if n_tasks <= HEAP_CAPS[name]:
-                heap_s, heap_plan = time_plan(Heap(), requests, costs, avail, reps)
+        for name, Reference in REFERENCES:
+            if n_tasks > KERNEL_CAPS[name]:
+                continue
+            kernel = make_heuristic(name)
+            kernel_s, plan = time_plan(kernel, requests, costs, avail, reps)
+            assert len(plan) == n_tasks
             ref_s = None
             if n_tasks <= REFERENCE_CAP:
                 ref_s, ref_plan = time_plan(Reference(), requests, costs, avail, reps)
-                assert plan_keys(ref_plan) == plan_keys(fast_plan), (
-                    f"{name} vectorized plan diverged at n_tasks={n_tasks}"
+                assert plan_keys(ref_plan) == plan_keys(plan), (
+                    f"{name} {kernel.kernel} plan diverged at n_tasks={n_tasks}"
                 )
-            if fast_plan is None and heap_plan is None:
-                # Every kernel family is capped at this size (max-min /
-                # sufferage at 10⁶): nothing to time, no entry.
-                continue
-            if fast_plan is not None and heap_plan is not None:
-                assert plan_keys(fast_plan) == plan_keys(heap_plan), (
-                    f"{name} heap plan diverged at n_tasks={n_tasks}"
-                )
-            committed = heap_plan if heap_plan is not None else fast_plan
-            assert len(committed) == n_tasks
             results.append(
                 {
                     "heuristic": name,
                     "n_tasks": n_tasks,
                     "repeats": reps,
                     "reference_s": ref_s,
-                    "vectorized_s": fast_s,
-                    "heap_s": heap_s,
-                    "speedup": (ref_s / fast_s) if ref_s is not None else None,
-                    "heap_speedup": (
-                        fast_s / heap_s
-                        if fast_s is not None and heap_s is not None
-                        else None
-                    ),
+                    "kernel": kernel.kernel,
+                    "kernel_s": kernel_s,
+                    "speedup": (ref_s / kernel_s) if ref_s is not None else None,
                 }
             )
     return {
@@ -206,8 +177,7 @@ def run_sweep(sizes, repeats: int = REPEATS) -> dict:
             "seed": SEED,
         },
         "reference_cap": REFERENCE_CAP,
-        "vectorized_cap": VECTORIZED_CAP,
-        "heap_caps": dict(HEAP_CAPS),
+        "kernel_caps": dict(KERNEL_CAPS),
         "repeats": repeats,
         "results": results,
     }
@@ -217,46 +187,32 @@ def validate_payload(payload: dict) -> None:
     """Schema check shared by the CI smoke test and artifact consumers."""
     assert payload["schema"] == SCHEMA
     assert set(payload) == {
-        "schema", "workload", "reference_cap", "vectorized_cap", "heap_caps",
-        "repeats", "results",
+        "schema", "workload", "reference_cap", "kernel_caps", "repeats", "results",
     }
     workload = payload["workload"]
     assert set(workload) == {
         "heterogeneity", "consistency", "n_machines", "target_load", "seed",
     }
-    names = {name for name, _, _, _ in TRIPLES}
-    assert set(payload["heap_caps"]) == names
+    names = {name for name, _ in REFERENCES}
+    assert set(payload["kernel_caps"]) == names
     assert payload["results"], "empty results"
     for entry in payload["results"]:
         assert set(entry) == {
-            "heuristic", "n_tasks", "repeats", "reference_s", "vectorized_s",
-            "heap_s", "speedup", "heap_speedup",
+            "heuristic", "n_tasks", "repeats", "reference_s", "kernel",
+            "kernel_s", "speedup",
         }
         assert entry["heuristic"] in names
-        assert entry["n_tasks"] > 0
+        assert entry["kernel"] == make_heuristic(entry["heuristic"]).kernel
+        assert 0 < entry["n_tasks"] <= payload["kernel_caps"][entry["heuristic"]]
         assert entry["repeats"] >= 1
-        n = entry["n_tasks"]
-        if n <= payload["vectorized_cap"]:
-            assert entry["vectorized_s"] > 0
-        else:
-            assert entry["vectorized_s"] is None
-        if n <= payload["heap_caps"][entry["heuristic"]]:
-            assert entry["heap_s"] > 0
-        else:
-            assert entry["heap_s"] is None
-        if n <= payload["reference_cap"]:
+        assert entry["kernel_s"] > 0
+        if entry["n_tasks"] <= payload["reference_cap"]:
             assert entry["reference_s"] > 0
             assert entry["speedup"] == pytest.approx(
-                entry["reference_s"] / entry["vectorized_s"]
+                entry["reference_s"] / entry["kernel_s"]
             )
         else:
             assert entry["reference_s"] is None and entry["speedup"] is None
-        if entry["vectorized_s"] is not None and entry["heap_s"] is not None:
-            assert entry["heap_speedup"] == pytest.approx(
-                entry["vectorized_s"] / entry["heap_s"]
-            )
-        else:
-            assert entry["heap_speedup"] is None
 
 
 def test_sched_kernel_smoke():
@@ -264,36 +220,32 @@ def test_sched_kernel_smoke():
     validate_payload(payload)
     for entry in payload["results"]:
         assert entry["speedup"] >= 1.0 / SMOKE_SLOWDOWN_LIMIT, (
-            f"vectorized {entry['heuristic']} fell behind the reference "
+            f"{entry['kernel']} {entry['heuristic']} fell behind the reference "
             f"({entry['speedup']:.2f}x) at n_tasks={entry['n_tasks']}"
         )
 
 
 def test_sched_kernel_smoke_large_chunked():
-    """One large-n case through the streaming scale path, every smoke run.
+    """One chunked Min-min case through the streaming path, every smoke run.
 
-    n=4096 with 1024-task chunks: big enough that the chunk iterator
-    yields several chunks and the claim structures leave their trivial
-    regime, small enough for CI.  The heap kernels must reproduce the
-    vectorised plans exactly and stay inside the smoke envelope.
+    n=1024 with 256-task chunks: the chunk iterator yields several chunks
+    and the claim queues leave their trivial regime, while the reference
+    loop stays cheap enough to serve as the in-run oracle and comparator.
     """
-    n_tasks = SIZES[3]
-    requests, costs, avail = build_case(n_tasks)
+    requests, costs, avail = build_case(SMOKE_RATIO_N)
     warm_provider(requests, costs)
-    for name, _Reference, Fast, Heap in TRIPLES:
-        # Best-of-2 keeps the ratio guard stable against one-off stalls.
-        fast_s, fast_plan = time_plan(Fast(), requests, costs, avail, repeats=2)
-        heap_s, heap_plan = time_plan(
-            Heap(chunk_size=SMOKE_CHUNK), requests, costs, avail, repeats=2
-        )
-        assert plan_keys(fast_plan) == plan_keys(heap_plan), (
-            f"{name} heap plan diverged at n_tasks={n_tasks}"
-        )
-        assert heap_s <= fast_s * SMOKE_HEAP_ENVELOPE[name], (
-            f"heap {name} fell outside its envelope "
-            f"({heap_s / fast_s:.2f}x vs {SMOKE_HEAP_ENVELOPE[name]}x allowed) "
-            f"at n_tasks={n_tasks}"
-        )
+    # Best-of-2 keeps the ratio guard stable against one-off stalls.
+    ref_s, ref_plan = time_plan(MinMinHeuristic(), requests, costs, avail, repeats=2)
+    kernel_s, plan = time_plan(
+        HeapMinMinHeuristic(chunk_size=SMOKE_CHUNK), requests, costs, avail, repeats=2
+    )
+    assert plan_keys(ref_plan) == plan_keys(plan), (
+        f"min-min plan diverged at n_tasks={SMOKE_RATIO_N}"
+    )
+    assert ref_s >= kernel_s * SMOKE_MIN_MIN_SPEEDUP, (
+        f"min-min kernel is only {ref_s / kernel_s:.2f}x faster than the "
+        f"reference ({SMOKE_MIN_MIN_SPEEDUP}x required) at n_tasks={SMOKE_RATIO_N}"
+    )
 
 
 #: Pinned digest of the n=10⁵ min-min scale plan on the bench workload
@@ -315,11 +267,13 @@ SCALE_SMOKE_CEILING_S = 120.0
 def test_sched_kernel_scale_smoke():
     requests, costs, avail = build_case(SCALE_SMOKE_N)
     warm_provider(requests, costs)
-    heap_s, plan = time_plan(HeapMinMinHeuristic(), requests, costs, avail, repeats=1)
+    kernel_s, plan = time_plan(
+        make_heuristic("min-min"), requests, costs, avail, repeats=1
+    )
     assert len(plan) == SCALE_SMOKE_N
     assert plan_digest(plan) == SCALE_SMOKE_DIGEST
-    assert heap_s <= SCALE_SMOKE_CEILING_S, (
-        f"min-min-heap took {heap_s:.1f}s at n={SCALE_SMOKE_N}"
+    assert kernel_s <= SCALE_SMOKE_CEILING_S, (
+        f"min-min took {kernel_s:.1f}s at n={SCALE_SMOKE_N}"
     )
 
 
@@ -340,23 +294,17 @@ def test_sched_kernel_full_sweep():
     ARTIFACT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     lines = [f"perf trajectory written to {ARTIFACT}"]
     for entry in payload["results"]:
-        fast_ms = (
-            f"{entry['vectorized_s'] * 1e3:10.2f}"
-            if entry["vectorized_s"] is not None
-            else "       n/a"
+        ref_ms = (
+            f"{entry['reference_s'] * 1e3:10.2f} ms"
+            if entry["reference_s"] is not None
+            else "       n/a   "
         )
-        heap_ms = (
-            f"{entry['heap_s'] * 1e3:10.2f}"
-            if entry["heap_s"] is not None
-            else "       n/a"
-        )
-        heap_x = (
-            f"{entry['heap_speedup']:6.2f}x"
-            if entry["heap_speedup"] is not None
-            else "   n/a"
+        speedup = (
+            f"{entry['speedup']:6.2f}x" if entry["speedup"] is not None else "   n/a"
         )
         lines.append(
             f"{entry['heuristic']:>10} n={entry['n_tasks']:<8} "
-            f"vectorized {fast_ms} ms  heap {heap_ms} ms  heap-speedup {heap_x}"
+            f"reference {ref_ms}  {entry['kernel']:>10} "
+            f"{entry['kernel_s'] * 1e3:10.2f} ms  speedup {speedup}"
         )
     print("\n".join(lines))

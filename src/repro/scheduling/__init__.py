@@ -7,12 +7,7 @@ from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
 from repro.scheduling.duplex import DuplexHeuristic
 from repro.scheduling.esc_models import EscModel, LadderEsc, LinearEsc, TableEsc
-from repro.scheduling.fast import (
-    FastKpbHeuristic,
-    FastMaxMinHeuristic,
-    FastMinMinHeuristic,
-    FastSufferageHeuristic,
-)
+from repro.scheduling.fast import FastMaxMinHeuristic, FastSufferageHeuristic
 from repro.scheduling.kpb import KpbHeuristic, kpb_subset_size
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.mct import MctHeuristic
@@ -36,14 +31,7 @@ from repro.scheduling.registry import (
 from repro.scheduling.engine import SchedulingEngine
 from repro.scheduling.result import CompletionRecord, ScheduleResult
 from repro.scheduling.sa import SwitchingHeuristic
-from repro.scheduling.scale import (
-    JIT_ENV,
-    HeapMaxMinHeuristic,
-    HeapMinMinHeuristic,
-    HeapSufferageHeuristic,
-    jit_available,
-    jit_requested,
-)
+from repro.scheduling.scale import HeapMinMinHeuristic
 from repro.scheduling.scheduler import TRMScheduler
 from repro.scheduling.sufferage import SufferageHeuristic
 
@@ -60,16 +48,9 @@ __all__ = [
     "LinearEsc",
     "LadderEsc",
     "TableEsc",
-    "FastKpbHeuristic",
     "FastMaxMinHeuristic",
-    "FastMinMinHeuristic",
     "FastSufferageHeuristic",
-    "HeapMaxMinHeuristic",
     "HeapMinMinHeuristic",
-    "HeapSufferageHeuristic",
-    "JIT_ENV",
-    "jit_available",
-    "jit_requested",
     "KpbHeuristic",
     "kpb_subset_size",
     "MaxMinHeuristic",

@@ -66,9 +66,10 @@ class ImmediateHeuristic(ABC):
 
     #: Short registry name, e.g. ``"mct"``.
     name: str = "immediate"
-    #: Kernel implementation label (``"reference"`` loops vs ``"vectorized"``
-    #: fast paths); surfaces as the ``sched.kernel`` label on the
-    #: mapping-latency histograms.
+    #: Kernel implementation label: ``"reference"`` for the scalar loops,
+    #: ``"vectorized"`` or ``"heap"`` for the kernels the Max-min /
+    #: Sufferage and Min-min names run.  Surfaces as the ``kernel=`` label
+    #: suffix on the ``sched.map_latency_s.<name>`` histograms.
     kernel: str = "reference"
 
     @abstractmethod
@@ -127,7 +128,8 @@ class BatchHeuristic(ABC):
         Rows follow the order of ``requests``; columns are machines.  This
         is the *reference* row-by-row assembly, kept as the oracle the
         vectorised :meth:`CostProvider.mapping_ecc_matrix` is equivalence-
-        tested against; fast kernels call the batched path instead.
+        tested against; the registered batch kernels call the batched path
+        instead.
         """
         if not requests:
             return np.zeros((0, costs.grid.n_machines), dtype=np.float64)

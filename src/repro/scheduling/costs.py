@@ -351,7 +351,7 @@ class CostProvider:
         once per unique pricing key: the key cache is shared across chunks,
         so a key priced in chunk 0 is a dict lookup in every later chunk.
 
-        This is the assembly path of the heap-backed scale kernels in
+        This is the assembly path of the Min-min claim-queue kernel in
         :mod:`repro.scheduling.scale`; anything consuming it must reduce
         each chunk (e.g. to per-row bests) before requesting the next one
         for the memory bound to hold.

@@ -14,8 +14,6 @@ import numpy as np
 from repro.grid.request import Request
 from repro.scheduling.base import BatchHeuristic, PlannedAssignment, check_avail
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.maxmin import MaxMinHeuristic
-from repro.scheduling.minmin import MinMinHeuristic
 
 __all__ = ["DuplexHeuristic"]
 
@@ -26,8 +24,11 @@ class DuplexHeuristic(BatchHeuristic):
     name = "duplex"
 
     def __init__(self) -> None:
-        self._minmin = MinMinHeuristic()
-        self._maxmin = MaxMinHeuristic()
+        # Deferred: the registry imports this module.
+        from repro.scheduling.registry import make_heuristic
+
+        self._minmin = make_heuristic("min-min")
+        self._maxmin = make_heuristic("max-min")
 
     def plan(
         self,
@@ -38,18 +39,25 @@ class DuplexHeuristic(BatchHeuristic):
         avail = check_avail(avail, costs.grid.n_machines)
         plan_min = self._minmin.plan(requests, costs, avail)
         plan_max = self._maxmin.plan(requests, costs, avail)
-        if self._believed_makespan(plan_min, costs, avail) <= self._believed_makespan(
-            plan_max, costs, avail
+        ecc = costs.mapping_ecc_matrix(requests)
+        row_of = {id(r): i for i, r in enumerate(requests)}
+        if _believed_makespan(plan_min, ecc, row_of, avail) <= _believed_makespan(
+            plan_max, ecc, row_of, avail
         ):
             return plan_min
         return plan_max
 
-    @staticmethod
-    def _believed_makespan(
-        plan: list[PlannedAssignment], costs: CostProvider, avail: np.ndarray
-    ) -> float:
-        alphas = np.array(avail, dtype=np.float64, copy=True)
-        for item in plan:
-            row = costs.mapping_ecc_row(item.request)
-            alphas[item.machine_index] += float(row[item.machine_index])
-        return float(alphas.max()) if alphas.size else 0.0
+
+def _believed_makespan(
+    plan: list[PlannedAssignment],
+    ecc: np.ndarray,
+    row_of: dict[int, int],
+    avail: np.ndarray,
+) -> float:
+    """Largest availability after booking ``plan`` in order at its ECC."""
+    rows = [row_of[id(item.request)] for item in plan]
+    machines = [item.machine_index for item in plan]
+    alphas = np.array(avail, dtype=np.float64, copy=True)
+    # ufunc.at accumulates sequentially in plan order, like booking one by one.
+    np.add.at(alphas, machines, ecc[rows, machines])
+    return float(alphas.max())

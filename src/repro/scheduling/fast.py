@@ -1,37 +1,28 @@
-"""Vectorised fast kernels for the mapping heuristics.
+"""Vectorised kernels behind the public ``"max-min"`` and ``"sufferage"`` names.
 
 Following the optimisation discipline of the project's HPC guides — make it
-work, make it right, *then* make it fast against a profile — these are
-drop-in replacements for the reference heuristics with the per-round Python
-work replaced by batched and *incremental* NumPy kernels:
+work, make it right, *then* make it fast against a profile — these replace
+the per-round Python work of the reference loops with batched and
+*incremental* NumPy kernels:
 
-* :class:`FastMinMinHeuristic` / :class:`FastMaxMinHeuristic` — incremental
-  greedy rounds: each row's (best machine, best completion) is maintained
-  across rounds and only the rows whose best sat on the committed machine's
-  column are re-minimised, instead of re-slicing the whole cost matrix
-  every round;
+* :class:`FastMaxMinHeuristic` — incremental greedy rounds: each row's
+  (best machine, best completion) is maintained across rounds and only the
+  rows whose best sat on the committed machine's column are re-minimised,
+  instead of re-slicing the whole cost matrix every round;
 * :class:`FastSufferageHeuristic` — best/second-best completions for all
   remaining rows via one :func:`numpy.partition` over the live submatrix,
   with per-machine claim resolution done by a single lexsort instead of a
-  Python loop over machines;
-* :class:`FastKpbHeuristic` — candidate subset via O(m)
-  :func:`numpy.argpartition` instead of a full sort.
+  Python loop over machines.
 
-All of them read their costs through the batched
+Both read their costs through the batched
 :meth:`~repro.scheduling.costs.CostProvider.mapping_ecc_matrix` assembly
-and produce plans/choices **bit-identical** to the reference kernels —
-same assignments, same order, same tie-breaks — which stay in place as the
-oracles (``_reference_plan``) the equivalence suite in
-``tests/scheduling/test_fast_equivalence.py`` checks against.  The speedup
-trajectory is measured by ``benchmarks/bench_sched_kernel.py`` and pinned
-in ``BENCH_sched.json``.  They register under ``"min-min-fast"`` /
-``"max-min-fast"`` / ``"sufferage-fast"`` / ``"kpb-fast"``.
-
-These kernels still materialise the full ``n × m`` cost matrix and rescan
-O(n) state per round; past ~10⁵ tasks use the heap-backed kernels in
-:mod:`repro.scheduling.scale` (``"min-min-heap"`` etc.), which stream the
-assembly chunk-by-chunk and are proven bit-identical to *these* kernels by
-``tests/scheduling/test_scale_equivalence.py``.
+and produce plans **bit-identical** to the reference loops — same
+assignments, same order, same tie-breaks — which stay in place, unregistered,
+as the oracles (``_reference_plan``) the equivalence suite in
+``tests/scheduling/test_fast_equivalence.py`` checks against.  Min-min runs
+the sorted claim queues of :mod:`repro.scheduling.scale` instead; heap
+formulations of these two measured no faster (Max-min) or slower
+(Sufferage) than the rounds here.
 """
 
 from __future__ import annotations
@@ -40,36 +31,21 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.grid.request import Request
-from repro.scheduling.base import (
-    BatchHeuristic,
-    ImmediateHeuristic,
-    PlannedAssignment,
-    check_avail,
-)
+from repro.scheduling.base import BatchHeuristic, PlannedAssignment, check_avail
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.kpb import KpbHeuristic, kpb_subset_size
 from repro.scheduling.maxmin import MaxMinHeuristic
-from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.sufferage import SufferageHeuristic
 
-__all__ = [
-    "FastMinMinHeuristic",
-    "FastMaxMinHeuristic",
-    "FastSufferageHeuristic",
-    "FastKpbHeuristic",
-]
+__all__ = ["FastMaxMinHeuristic", "FastSufferageHeuristic"]
 
 
 def _incremental_greedy_plan(
     requests: Sequence[Request],
     costs: CostProvider,
     avail: np.ndarray,
-    *,
-    prefer_max: bool,
 ) -> list[PlannedAssignment]:
-    """Incremental Min-min / Max-min rounds, bit-identical to the reference.
+    """Incremental Max-min rounds, bit-identical to the reference.
 
     Invariant: for every live row, the stored ``(best_machine, best_value)``
     equals a fresh first-index argmin over its current completion row.
@@ -98,23 +74,15 @@ def _incremental_greedy_plan(
     best_value = completion[positions, best_machine]
     del completion
     # Committed rows are retired in place: the selection key is pinned to
-    # the absorbing sentinel and the machine to -1 (no live completion is
-    # ever -inf — and +inf only on all-inf rejected rows, handled below —
-    # so retired rows cannot win a pick and never match a committed column).
-    sentinel = -np.inf if prefer_max else np.inf
+    # -inf and the machine to -1.  No live best is ever -inf, so argmax
+    # never picks a retired row, and -1 never matches a committed column.
     plan: list[PlannedAssignment] = []
 
     for order in range(n):
-        pick = int(best_value.argmax() if prefer_max else best_value.argmin())
-        if best_machine[pick] < 0:
-            # Only reachable when every live best is +inf (all-inf rejected
-            # rows under Min-min): the global argmin landed on a retired
-            # row, so re-pick the earliest live one, as the reference does.
-            live = np.flatnonzero(best_machine >= 0)
-            pick = int(live[np.argmin(best_value[live])])
+        pick = int(best_value.argmax())
         machine = int(best_machine[pick])
         new_avail = float(best_value[pick])
-        best_value[pick] = sentinel
+        best_value[pick] = -np.inf
         best_machine[pick] = -1
         plan.append(PlannedAssignment(requests[pick], machine, order))
         if order == n - 1:
@@ -131,30 +99,14 @@ def _incremental_greedy_plan(
     return plan
 
 
-class FastMinMinHeuristic(BatchHeuristic):
-    """Incremental vectorised Min-min: identical plans, O(n·m) total updates."""
-
-    name = "min-min-fast"
-    kernel = "vectorized"
-
-    def plan(
-        self,
-        requests: Sequence[Request],
-        costs: CostProvider,
-        avail: np.ndarray,
-    ) -> list[PlannedAssignment]:
-        return _incremental_greedy_plan(requests, costs, avail, prefer_max=False)
-
-    @staticmethod
-    def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
-        """Oracle: the reference loop this kernel must match bit-for-bit."""
-        return MinMinHeuristic().plan(requests, costs, avail)
-
-
 class FastMaxMinHeuristic(BatchHeuristic):
-    """Incremental vectorised Max-min (same machinery, largest-best commit)."""
+    """Max-min: commit, each round, the request with the largest best-completion.
 
-    name = "max-min-fast"
+    Runs as incremental vectorised rounds: identical plans to the reference
+    loop, O(n·m) total re-pricing.
+    """
+
+    name = "max-min"
     kernel = "vectorized"
 
     def plan(
@@ -163,7 +115,7 @@ class FastMaxMinHeuristic(BatchHeuristic):
         costs: CostProvider,
         avail: np.ndarray,
     ) -> list[PlannedAssignment]:
-        return _incremental_greedy_plan(requests, costs, avail, prefer_max=True)
+        return _incremental_greedy_plan(requests, costs, avail)
 
     @staticmethod
     def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
@@ -172,9 +124,13 @@ class FastMaxMinHeuristic(BatchHeuristic):
 
 
 class FastSufferageHeuristic(BatchHeuristic):
-    """Vectorised Sufferage: one partition + one lexsort per iteration."""
+    """Sufferage: the machine goes to the request that would suffer most without it.
 
-    name = "sufferage-fast"
+    Runs as one partition plus one lexsort per iteration: identical plans
+    to the reference loop.
+    """
+
+    name = "sufferage"
     kernel = "vectorized"
 
     def plan(
@@ -245,44 +201,3 @@ class FastSufferageHeuristic(BatchHeuristic):
     def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
         """Oracle: the reference loop this kernel must match bit-for-bit."""
         return SufferageHeuristic().plan(requests, costs, avail)
-
-
-class FastKpbHeuristic(ImmediateHeuristic):
-    """Vectorised KPB: O(m) candidate selection via argpartition.
-
-    The candidate *set* is identical to the reference's stable
-    ``argsort(...)[:subset_size]`` — all machines strictly below the
-    boundary cost plus the lowest-index machines tied at it — and the final
-    ordering by ``(cost, machine index)`` reproduces the reference
-    tie-break exactly, so choices are bit-identical at O(m) instead of
-    O(m log m).
-    """
-
-    name = "kpb-fast"
-    kernel = "vectorized"
-
-    def __init__(self, k_percent: float = 40.0) -> None:
-        if not 0.0 < k_percent <= 100.0:
-            raise ConfigurationError("k_percent must lie in (0, 100]")
-        self.k_percent = k_percent
-
-    def choose(self, request: Request, costs: CostProvider, avail: np.ndarray) -> int:
-        avail = check_avail(avail, costs.grid.n_machines)
-        ecc = costs.mapping_ecc_row(request)
-        n = ecc.shape[0]
-        subset_size = kpb_subset_size(n, self.k_percent)
-        if subset_size >= n:
-            candidates = np.arange(n)
-        else:
-            smallest = np.argpartition(ecc, subset_size - 1)[:subset_size]
-            boundary = ecc[smallest].max()
-            strict = np.flatnonzero(ecc < boundary)
-            ties = np.flatnonzero(ecc == boundary)[: subset_size - strict.size]
-            candidates = np.concatenate((strict, ties))
-        candidates = candidates[np.lexsort((candidates, ecc[candidates]))]
-        completion = avail[candidates] + ecc[candidates]
-        return int(candidates[int(np.argmin(completion))])
-
-    def _reference_choose(self, request, costs, avail) -> int:
-        """Oracle: the reference KPB choice this kernel must match."""
-        return KpbHeuristic(self.k_percent).choose(request, costs, avail)

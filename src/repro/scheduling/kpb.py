@@ -29,13 +29,11 @@ def kpb_subset_size(n_machines: int, k_percent: float) -> int:
 class KpbHeuristic(ImmediateHeuristic):
     """Minimum completion cost within the k-percent cheapest machines.
 
-    Reference kernel; tie-breaks are pinned (and frozen by the golden
-    tie-break tests): the candidate subset is the first ``subset_size``
-    machines in ``(cost, machine index)`` order — a *stable* selection, so
-    machines tied at the subset boundary are admitted lowest-index first —
-    and among candidates tied on completion the one earliest in that same
-    order wins.  The vectorised
-    :class:`~repro.scheduling.fast.FastKpbHeuristic` is proven bit-identical.
+    Tie-breaks are pinned (and frozen by the golden tie-break tests): the
+    candidate subset is the first ``subset_size`` machines in ``(cost,
+    machine index)`` order — a *stable* selection, so machines tied at the
+    subset boundary are admitted lowest-index first — and among candidates
+    tied on completion the one earliest in that same order wins.
 
     Args:
         k_percent: size of the candidate subset, in percent of the machine

@@ -8,10 +8,11 @@ completion cost over all machines, then commits the request whose best
 completion is smallest (Min-min) or largest (Max-min), updates the chosen
 machine's availability, and repeats until the meta-request is exhausted.
 
-This scalar loop is the frozen oracle: the vectorised
-(:class:`~repro.scheduling.fast.FastMinMinHeuristic`) and heap-backed
-(:class:`~repro.scheduling.scale.HeapMinMinHeuristic`) kernels must
-reproduce its plans bit-for-bit, including the lowest-index tie-breaks.
+This scalar loop is the frozen oracle, kept unregistered: the public
+``"min-min"`` name runs the sorted-claim-queue kernel
+(:class:`~repro.scheduling.scale.HeapMinMinHeuristic`), which must
+reproduce its plans bit-for-bit, including the lowest-index tie-breaks,
+and which hands the smallest batches to this loop.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def greedy_min_completion_plan(
 ) -> list[PlannedAssignment]:
     """The Min-min / Max-min greedy loop (reference kernel).
 
-    This is the *reference oracle* the incremental vectorised kernels in
-    :mod:`repro.scheduling.fast` are proven bit-identical to.  Its
+    This is the *reference oracle* the registered Min-min and Max-min
+    kernels are proven bit-identical to.  Its
     deterministic tie-breaks are part of the contract: the best machine of
     a row is the lowest-index argmin, and among requests tied on the best
     completion the lowest original position wins (``remaining`` stays in

@@ -1,73 +1,41 @@
-"""Million-task scale kernels: heap-backed claims over streaming assembly.
+"""Min-min kernel: per-machine sorted claim queues over streaming assembly.
 
-The vectorised kernels in :mod:`repro.scheduling.fast` still pay two
-densities that stop mattering at paper scale but dominate at 10⁵–10⁶
-tasks: the whole ``n × m`` believed-cost matrix (and its constraint/
-trust-cost intermediates) is materialised in one shot, and every greedy
-round rescans an O(n) array to find the next commit.  The kernels here
-remove both while staying **bit-identical** to the vectorised kernels
-(and hence, transitively, to the reference oracles).
+This is the kernel behind the public ``"min-min"`` name.  The reference
+loop (:class:`~repro.scheduling.minmin.MinMinHeuristic`) re-minimises every
+remaining row each round, and incremental vectorised rounds (as Max-min
+runs) rescan an O(n) array per commit.  Here the claim structures are
+*static-key* per-machine queues, which make exact tie-breaks affordable at
+any batch size.  A naive lazy heap over per-row bests churns: committing a
+task nudges one machine's availability, staling every queued row priced
+against it (measured ~227 re-prices/row at n=10⁴).  Keying each machine's
+queue by the *static* ``ecc[row, machine]`` instead makes a whole queue's
+current completions one shared ``+ avail[machine]`` away, so entries never
+need re-keying when availability moves.
 
-The claim structures are *static-key* per-machine priority queues —
-the trick that makes exact tie-breaks affordable at scale.  A naive
-lazy heap over per-row bests churns: committing a task nudges one
-machine's availability, staling every queued row priced against it, and
-at 10⁵ tasks the value spacing is so dense that rows re-price hundreds
-of times before winning (measured ~227 re-prices/row at n=10⁴).
-Keying each machine's queue by the *static* ``ecc[row, machine]``
-instead makes a whole queue's current completions one shared
-``+ avail[machine]`` away, so entries never need re-keying when
-availability moves:
+Min-min's global commit decomposes exactly: the next commit is the
+lexicographic minimum over machines of (candidate completion, candidate
+position, machine), where machine ``M``'s candidate is its first
+uncommitted row in static ``ecc[:, M]`` order (stable sort, so value ties
+surface lowest-position-first — the frozen tie-break).  Realised as ``m``
+sorted columns consumed by monotone pointers: **zero re-pricing ever**,
+O(nm log n) total work, O(m) per round.  Columns are filled from the
+streaming :meth:`~repro.scheduling.costs.CostProvider.mapping_ecc_chunks`
+iterator, so the dense assembly intermediates never materialise; this is
+also the 10⁶-task path.
 
-* :class:`HeapMinMinHeuristic` — per-machine sorted claim queues.
-  Min-min's global commit decomposes exactly: the next commit is the
-  lexicographic minimum over machines of (candidate completion,
-  candidate position, machine), where machine ``M``'s candidate is its
-  first uncommitted row in static ``ecc[:, M]`` order (stable sort, so
-  value ties surface lowest-position-first — the frozen tie-break).
-  Realised as ``m`` sorted columns consumed by monotone pointers:
-  **zero re-pricing ever**, O(nm log n) total work, O(m) per round.
-  Columns are filled from the streaming chunk iterator, so the dense
-  assembly intermediates never materialise.  This is the 10⁶-task path.
-* :class:`HeapMaxMinHeuristic` — compacted incremental rounds.
-  Max-min (commit the largest *best*) does not decompose per machine —
-  the max of row-minima is not readable from column tops — and both
-  heap regimes were measured and rejected at realistic machine counts:
-  lazy upper bounds churn (a commit *jumps* its machine's availability,
-  staling every bound keyed there) and eager buckets pay Θ(n²/m)
-  per-entry interpreter work that loses to SIMD scans.  The honest
-  scale kernel mirrors the vectorised incremental rounds float-op for
-  float-op, adds streaming assembly, and physically compacts retired
-  rows away so late rounds scan only live entries; the genuine heap
-  claim resolution lives in the compiled ``REPRO_JIT=1`` loop, where
-  per-entry cost stops mattering.
-* :class:`HeapSufferageHeuristic` — incremental best-two claims.
-  A row's (best, second) pair stays valid until one of its two tracked
-  machines commits (availabilities only rise, so untouched machines
-  cannot enter the top two); per iteration only the invalidated rows
-  are re-partitioned and claims are resolved by the same
-  lexsort-as-batch-priority-queue the vectorised kernel froze —
-  including the never-displaced NaN first claimant.
+Max-min and Sufferage do not decompose per machine (the max of row-minima
+is not readable from column tops), so their public names run the
+vectorised kernels in :mod:`repro.scheduling.fast`.
 
-All three read their costs through the chunked
-:meth:`~repro.scheduling.costs.CostProvider.mapping_ecc_chunks`
-assembly.  Equivalence with the vectorised kernels is proven by
+Bit-identity with the reference oracle is proven by
 ``tests/scheduling/test_scale_equivalence.py`` (hypothesis, including
-constraints, retry exclusions and mid-run invalidation) and the n=10⁴
-hash goldens in ``tests/scheduling/test_tiebreaks_golden.py``.
-
-**Compiled hot loop.**  Setting ``REPRO_JIT=1`` routes the Min-/Max-min
-claim loop through a numba-compiled kernel (:func:`_greedy_claim_loop`
-— plain nopython-compatible Python, so the equivalence suite exercises
-it uncompiled as well).  When numba is not importable the flag degrades
-gracefully: one :class:`RuntimeWarning` per process, then the
-pure-numpy heap path — schedules are identical either way.
+constraints, retry exclusions, mid-run invalidation and adversarial chunk
+sizes) and the n=10⁴ hash golden in
+``tests/scheduling/test_tiebreaks_golden.py``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -75,397 +43,17 @@ import numpy as np
 from repro.grid.request import Request
 from repro.scheduling.base import BatchHeuristic, PlannedAssignment, check_avail
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.maxmin import MaxMinHeuristic
-from repro.scheduling.minmin import MinMinHeuristic
-from repro.scheduling.sufferage import SufferageHeuristic
+from repro.scheduling.minmin import MinMinHeuristic, greedy_min_completion_plan
 
-__all__ = [
-    "HeapMinMinHeuristic",
-    "HeapMaxMinHeuristic",
-    "HeapSufferageHeuristic",
-    "jit_requested",
-    "jit_available",
-    "JIT_ENV",
-]
+__all__ = ["HeapMinMinHeuristic"]
 
-#: Environment flag that opts the greedy claim loop into numba compilation.
-JIT_ENV = "REPRO_JIT"
-
-_JIT_CACHE: dict[str, object] = {}
-_JIT_WARNED = False
-
-
-def jit_requested() -> bool:
-    """Whether the ``REPRO_JIT=1`` opt-in flag is set."""
-    return os.environ.get(JIT_ENV, "") == "1"
-
-
-def jit_available() -> bool:
-    """Whether numba is importable (checked lazily, cached per process)."""
-    if "numba" not in _JIT_CACHE:
-        try:
-            import numba  # noqa: F401 - availability probe
-        except ImportError:
-            _JIT_CACHE["numba"] = None
-        else:
-            _JIT_CACHE["numba"] = numba
-    return _JIT_CACHE["numba"] is not None
-
-
-def _reset_jit_state() -> None:
-    """Forget the cached numba probe and warning flag (test hook)."""
-    global _JIT_WARNED
-    _JIT_CACHE.clear()
-    _JIT_WARNED = False
-
-
-def _resolve_jit_loop():
-    """The compiled claim loop, or ``None`` (flag off / numba absent).
-
-    Absence under an active flag warns once per process: the schedules
-    are identical on the fallback path, so a warning — not an error — is
-    the honest failure mode for a perf-only knob.
-    """
-    global _JIT_WARNED
-    if not jit_requested():
-        return None
-    if not jit_available():
-        if not _JIT_WARNED:
-            warnings.warn(
-                f"{JIT_ENV}=1 is set but numba is not importable; "
-                "falling back to the pure-numpy heap claim loop "
-                "(schedules are identical, only slower)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            _JIT_WARNED = True
-        return None
-    if "loop" not in _JIT_CACHE:
-        numba = _JIT_CACHE["numba"]
-        _JIT_CACHE["loop"] = numba.njit(cache=True)(_greedy_claim_loop)
-    return _JIT_CACHE["loop"]
-
-
-# -- dense claim loop (nopython-compatible; compiled under REPRO_JIT=1) ------
-
-
-def _greedy_claim_loop(
-    ecc: np.ndarray, avail: np.ndarray, prefer_max: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy Min-/Max-min claim loop over resident rows, array state only.
-
-    A transcription of heap claim resolution using nothing numba's
-    nopython mode cannot compile: an explicit binary heap over parallel
-    arrays keyed lexicographically by ``(key, position)``, a lazy
-    lower-bound regime for Min-min (per-machine commit stamps) and an
-    eager linked-bucket regime for Max-min.  Re-price churn that is
-    ruinous at interpreter speed is fine compiled, so this stays the
-    simplest bit-identical formulation.  Runs unchanged as plain Python,
-    which is how the equivalence suite pins it.
-
-    Returns:
-        ``(positions, machines)`` in commit order.
-    """
-    n = ecc.shape[0]
-    m = ecc.shape[1]
-    out_pos = np.empty(n, np.int64)
-    out_mach = np.empty(n, np.int64)
-    best_machine = np.empty(n, np.int64)
-    best_value = np.empty(n, np.float64)
-    version = np.zeros(n, np.int64)
-    committed = np.zeros(n, np.bool_)
-    sign = -1.0 if prefer_max else 1.0
-    for i in range(n):
-        bm = 0
-        bv = ecc[i, 0] + avail[0]
-        for j in range(1, m):
-            v = ecc[i, j] + avail[j]
-            if v < bv:
-                bv = v
-                bm = j
-        best_machine[i] = bm
-        best_value[i] = bv
-
-    # Binary heap of (key, pos, ver); lexicographic (key, pos) ordering.
-    cap = 2 * n + 1
-    hkey = np.empty(cap, np.float64)
-    hpos = np.empty(cap, np.int64)
-    hver = np.empty(cap, np.int64)
-    for i in range(n):
-        hkey[i] = sign * best_value[i]
-        hpos[i] = i
-        hver[i] = 0
-    size = n
-    # Floyd heapify: sift every internal node down.
-    for root in range(n // 2 - 1, -1, -1):
-        i = root
-        key = hkey[i]
-        pos = hpos[i]
-        ver = hver[i]
-        while True:
-            child = 2 * i + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and (
-                hkey[right] < hkey[child]
-                or (hkey[right] == hkey[child] and hpos[right] < hpos[child])
-            ):
-                child = right
-            if hkey[child] < key or (hkey[child] == key and hpos[child] < pos):
-                hkey[i] = hkey[child]
-                hpos[i] = hpos[child]
-                hver[i] = hver[child]
-                i = child
-            else:
-                break
-        hkey[i] = key
-        hpos[i] = pos
-        hver[i] = ver
-
-    # Lazy-regime state (Min-min): per-machine commit stamps.
-    mstamp = np.zeros(m, np.int64)
-    priced = np.zeros(n, np.int64)
-    # Eager-regime state (Max-min): per-machine buckets as linked node
-    # pools (a node per pricing, lazily invalidated by version).
-    node_cap = 2 * n + 1
-    node_pos = np.empty(node_cap, np.int64)
-    node_ver = np.empty(node_cap, np.int64)
-    node_next = np.empty(node_cap, np.int64)
-    node_count = 0
-    bucket_head = np.full(m, -1, np.int64)
-    if prefer_max:
-        for i in range(n):
-            node_pos[i] = i
-            node_ver[i] = 0
-            node_next[i] = bucket_head[best_machine[i]]
-            bucket_head[best_machine[i]] = i
-        node_count = n
-
-    done = 0
-    while done < n:
-        # -- pop the lexicographic minimum -----------------------------------
-        key = hkey[0]
-        pos = hpos[0]
-        ver = hver[0]
-        size -= 1
-        if size > 0:
-            lkey = hkey[size]
-            lpos = hpos[size]
-            lver = hver[size]
-            i = 0
-            while True:
-                child = 2 * i + 1
-                if child >= size:
-                    break
-                right = child + 1
-                if right < size and (
-                    hkey[right] < hkey[child]
-                    or (hkey[right] == hkey[child] and hpos[right] < hpos[child])
-                ):
-                    child = right
-                if hkey[child] < lkey or (
-                    hkey[child] == lkey and hpos[child] < lpos
-                ):
-                    hkey[i] = hkey[child]
-                    hpos[i] = hpos[child]
-                    hver[i] = hver[child]
-                    i = child
-                else:
-                    break
-            hkey[i] = lkey
-            hpos[i] = lpos
-            hver[i] = lver
-        if committed[pos] or ver != version[pos]:
-            continue
-        machine = best_machine[pos]
-
-        recompute = False
-        if not prefer_max:
-            # Lazy: stale the moment the priced machine committed again.
-            recompute = priced[pos] != mstamp[machine]
-        if recompute:
-            bm = 0
-            bv = ecc[pos, 0] + avail[0]
-            for j in range(1, m):
-                v = ecc[pos, j] + avail[j]
-                if v < bv:
-                    bv = v
-                    bm = j
-            best_machine[pos] = bm
-            best_value[pos] = bv
-            version[pos] += 1
-            priced[pos] = mstamp[bm]
-            if size == len(hkey):
-                grown = len(hkey) * 2
-                nk = np.empty(grown, np.float64)
-                npv = np.empty(grown, np.int64)
-                nv = np.empty(grown, np.int64)
-                nk[:size] = hkey[:size]
-                npv[:size] = hpos[:size]
-                nv[:size] = hver[:size]
-                hkey = nk
-                hpos = npv
-                hver = nv
-            # Sift the fresh entry up.
-            i = size
-            size += 1
-            pkey = sign * bv
-            while i > 0:
-                parent = (i - 1) // 2
-                if hkey[parent] > pkey or (
-                    hkey[parent] == pkey and hpos[parent] > pos
-                ):
-                    hkey[i] = hkey[parent]
-                    hpos[i] = hpos[parent]
-                    hver[i] = hver[parent]
-                    i = parent
-                else:
-                    break
-            hkey[i] = pkey
-            hpos[i] = pos
-            hver[i] = version[pos]
-            continue
-
-        # -- commit ----------------------------------------------------------
-        committed[pos] = True
-        out_pos[done] = pos
-        out_mach[done] = machine
-        done += 1
-        avail[machine] = best_value[pos]
-        mstamp[machine] += 1
-        if prefer_max and done < n:
-            # Eager: re-price every live row whose best sat on `machine`.
-            node = bucket_head[machine]
-            bucket_head[machine] = -1
-            while node >= 0:
-                p = node_pos[node]
-                nxt = node_next[node]
-                if not committed[p] and node_ver[node] == version[p]:
-                    bm = 0
-                    bv = ecc[p, 0] + avail[0]
-                    for j in range(1, m):
-                        v = ecc[p, j] + avail[j]
-                        if v < bv:
-                            bv = v
-                            bm = j
-                    best_machine[p] = bm
-                    best_value[p] = bv
-                    version[p] += 1
-                    if node_count == len(node_pos):
-                        grown = len(node_pos) * 2
-                        np_pos = np.empty(grown, np.int64)
-                        np_ver = np.empty(grown, np.int64)
-                        np_next = np.empty(grown, np.int64)
-                        np_pos[:node_count] = node_pos[:node_count]
-                        np_ver[:node_count] = node_ver[:node_count]
-                        np_next[:node_count] = node_next[:node_count]
-                        node_pos = np_pos
-                        node_ver = np_ver
-                        node_next = np_next
-                    node_pos[node_count] = p
-                    node_ver[node_count] = version[p]
-                    node_next[node_count] = bucket_head[bm]
-                    bucket_head[bm] = node_count
-                    node_count += 1
-                    if size == len(hkey):
-                        grown = len(hkey) * 2
-                        nk = np.empty(grown, np.float64)
-                        npv = np.empty(grown, np.int64)
-                        nv = np.empty(grown, np.int64)
-                        nk[:size] = hkey[:size]
-                        npv[:size] = hpos[:size]
-                        nv[:size] = hver[:size]
-                        hkey = nk
-                        hpos = npv
-                        hver = nv
-                    i = size
-                    size += 1
-                    pkey = sign * bv
-                    while i > 0:
-                        parent = (i - 1) // 2
-                        if hkey[parent] > pkey or (
-                            hkey[parent] == pkey and hpos[parent] > p
-                        ):
-                            hkey[i] = hkey[parent]
-                            hpos[i] = hpos[parent]
-                            hver[i] = hver[parent]
-                            i = parent
-                        else:
-                            break
-                    hkey[i] = pkey
-                    hpos[i] = p
-                    hver[i] = version[p]
-                node = nxt
-    return out_pos, out_mach
-
-
-# -- streaming helpers -------------------------------------------------------
-
-
-def _streamed_bests(
-    requests: Sequence[Request],
-    costs: CostProvider,
-    avail: np.ndarray,
-    chunk_size: int | None,
-    *,
-    resident: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(best machine, best completion)`` from chunked assembly.
-
-    Each chunk is reduced immediately, so peak extra memory is one chunk
-    (plus the resident row store when ``resident`` is given — callers
-    that must re-price rows later fill it here instead of re-fetching).
-    """
-    n = len(requests)
-    best_machine = np.empty(n, np.int64)
-    best_value = np.empty(n, np.float64)
-    for start, chunk in costs.mapping_ecc_chunks(requests, chunk_size=chunk_size):
-        k = chunk.shape[0]
-        if resident is not None:
-            resident[start : start + k] = chunk
-        completion = chunk + avail[None, :]
-        bm = completion.argmin(axis=1)
-        best_machine[start : start + k] = bm
-        best_value[start : start + k] = completion[np.arange(k), bm]
-    return best_machine, best_value
-
-
-def _plan_from_arrays(
-    requests: Sequence[Request], positions: np.ndarray, machines: np.ndarray
-) -> list[PlannedAssignment]:
-    return [
-        PlannedAssignment(
-            request=requests[int(pos)], machine_index=int(mach), order=order
-        )
-        for order, (pos, mach) in enumerate(zip(positions, machines))
-    ]
-
-
-# -- greedy (Min-min / Max-min) ---------------------------------------------
-
-
-def _heap_greedy_plan(
-    requests: Sequence[Request],
-    costs: CostProvider,
-    avail: np.ndarray,
-    *,
-    prefer_max: bool,
-    chunk_size: int | None,
-) -> list[PlannedAssignment]:
-    avail = check_avail(avail, costs.grid.n_machines).copy()
-    n = len(requests)
-    if n == 0:
-        return []
-    jit_loop = _resolve_jit_loop()
-    if jit_loop is not None:
-        ecc = np.empty((n, costs.grid.n_machines), dtype=np.float64)
-        _streamed_bests(requests, costs, avail, chunk_size, resident=ecc)
-        positions, machines = jit_loop(ecc, avail, prefer_max)
-        return _plan_from_arrays(requests, positions, machines)
-    if prefer_max:
-        return _compacted_max_plan(requests, costs, avail, chunk_size)
-    return _sorted_column_min_plan(requests, costs, avail, chunk_size)
+#: Batches of at most this many requests run the reference greedy loop
+#: instead of the claim queues: for them the per-machine sorts and the
+#: batched assembly cost more than the few rounds they save.  Measured on
+#: the 5-machine service workloads, where retry windows are this small
+#: (serve-durable's median window holds 2 requests) and the queues took
+#: about twice as long as the loop; from ~8 requests up the queues win.
+SMALL_BATCH = 4
 
 
 def _sorted_column_min_plan(
@@ -547,80 +135,19 @@ def _sorted_column_min_plan(
     return plan
 
 
-def _compacted_max_plan(
-    requests: Sequence[Request],
-    costs: CostProvider,
-    avail: np.ndarray,
-    chunk_size: int | None,
-) -> list[PlannedAssignment]:
-    """Max-min: compacted incremental rounds over streamed assembly.
-
-    Max-min resists the static-key decomposition that makes Min-min's
-    claim queues re-price-free: the max of row-minima is not readable
-    from per-machine column tops, and both heap regimes were measured
-    and rejected — lazy upper bounds churn (a commit *jumps* its
-    machine's availability, inflating every bound keyed there), and
-    eager per-machine buckets pay Θ(n²/m) per-entry interpreter work
-    that loses to SIMD scans at any realistic machine count.  (The
-    compiled ``REPRO_JIT=1`` loop keeps the genuine heap formulation,
-    where per-entry cost stops mattering.)
-
-    So the uncompiled path mirrors the vectorised incremental kernel's
-    float ops exactly — same selection scan, same affected re-pricing —
-    with two scale upgrades: rows arrive through the chunked assembly
-    (no one-shot dense intermediates), and retired rows are physically
-    compacted away once they outnumber the live ones (amortised O(n)
-    total), so late rounds scan live entries instead of the full array.
-    Compaction preserves ascending position order, keeping first-index
-    ties bit-identical.
-    """
-    n = len(requests)
-    m = costs.grid.n_machines
-    ecc = np.empty((n, m), dtype=np.float64)
-    best_machine, best_value = _streamed_bests(
-        requests, costs, avail, chunk_size, resident=ecc
-    )
-    pos_l = np.arange(n)
-    bm_l = best_machine
-    bv_l = best_value
-    retired = 0
-    plan: list[PlannedAssignment] = []
-    for order in range(n):
-        pick = int(bv_l.argmax())
-        machine = int(bm_l[pick])
-        new_avail = float(bv_l[pick])
-        bv_l[pick] = -np.inf
-        bm_l[pick] = -1
-        retired += 1
-        plan.append(PlannedAssignment(requests[int(pos_l[pick])], machine, order))
-        if order == n - 1:
-            break
-        avail[machine] = new_avail
-        affected = np.flatnonzero(bm_l == machine)
-        if affected.size:
-            sub = ecc.take(pos_l[affected], axis=0)
-            sub += avail
-            refreshed = sub.argmin(axis=1)
-            bm_l[affected] = refreshed
-            bv_l[affected] = sub[np.arange(affected.size), refreshed]
-        if retired * 2 >= pos_l.size and pos_l.size > 64:
-            keep = bm_l >= 0
-            pos_l = pos_l[keep]
-            bm_l = bm_l[keep]
-            bv_l = bv_l[keep]
-            retired = 0
-    return plan
-
-
 class HeapMinMinHeuristic(BatchHeuristic):
-    """Sorted-claim-queue Min-min: identical plans, O(m) per round.
+    """Min-min: commit, each round, the request with the smallest best-completion.
+
+    Runs as sorted per-machine claim queues (the reference loop for
+    batches of at most :data:`SMALL_BATCH` requests): identical plans to
+    the reference loop, O(m) per round.
 
     Args:
         chunk_size: tasks per streaming-assembly chunk (``None`` uses
             :data:`~repro.scheduling.costs.DEFAULT_CHUNK_TASKS`).
     """
 
-    name = "min-min-heap"
+    name = "min-min"
     kernel = "heap"
 
     def __init__(self, chunk_size: int | None = None) -> None:
@@ -632,172 +159,12 @@ class HeapMinMinHeuristic(BatchHeuristic):
         costs: CostProvider,
         avail: np.ndarray,
     ) -> list[PlannedAssignment]:
-        return _heap_greedy_plan(
-            requests, costs, avail, prefer_max=False, chunk_size=self.chunk_size
-        )
+        if len(requests) <= SMALL_BATCH:
+            return greedy_min_completion_plan(requests, costs, avail, prefer_max=False)
+        avail = check_avail(avail, costs.grid.n_machines)
+        return _sorted_column_min_plan(requests, costs, avail, self.chunk_size)
 
     @staticmethod
     def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
         """Oracle: the reference loop this kernel must match bit-for-bit."""
         return MinMinHeuristic().plan(requests, costs, avail)
-
-
-class HeapMaxMinHeuristic(BatchHeuristic):
-    """Compacted incremental Max-min over streaming assembly."""
-
-    name = "max-min-heap"
-    kernel = "heap"
-
-    def __init__(self, chunk_size: int | None = None) -> None:
-        self.chunk_size = chunk_size
-
-    def plan(
-        self,
-        requests: Sequence[Request],
-        costs: CostProvider,
-        avail: np.ndarray,
-    ) -> list[PlannedAssignment]:
-        return _heap_greedy_plan(
-            requests, costs, avail, prefer_max=True, chunk_size=self.chunk_size
-        )
-
-    @staticmethod
-    def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
-        """Oracle: the reference loop this kernel must match bit-for-bit."""
-        return MaxMinHeuristic().plan(requests, costs, avail)
-
-
-# -- Sufferage ---------------------------------------------------------------
-
-
-def _best_two_rows(
-    completion: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (best machine, best, second machine, second) for a batch.
-
-    Best machine is the first-index argmin and the second value the
-    second order statistic — the exact ops of the vectorised kernel, so
-    the floats are bit-identical.  The tracked second *machine* is any
-    attainer of the second statistic distinct from the best machine; it
-    exists in the two smallest argpartition slots by a case analysis on
-    ties, and is only used to decide invalidation (a row's pair stays
-    valid until one of its two tracked machines commits).
-    """
-    k, m = completion.shape
-    rows = np.arange(k)
-    bm = completion.argmin(axis=1)
-    bv = completion[rows, bm]
-    if m == 1:
-        return bm, bv, bm.copy(), bv.copy()
-    sv = np.partition(completion, 1, axis=1)[:, 1]
-    two = np.argpartition(completion, 1, axis=1)[:, :2]
-    sm = np.where(two[:, 0] == bm, two[:, 1], two[:, 0])
-    return bm, bv, sm, sv
-
-
-class HeapSufferageHeuristic(BatchHeuristic):
-    """Incremental-claims Sufferage over streaming assembly.
-
-    The vectorised kernel re-partitions the whole live submatrix every
-    iteration; here each row's (best, second) pair — and hence its
-    sufferage and claim — is carried across iterations and re-priced
-    only when one of its two tracked machines committed (availabilities
-    only rise, so no other machine can displace the stored top two,
-    whose own values are pinned by their unchanged machines).  Claim
-    resolution reuses the frozen lexsort-as-batch-priority-queue
-    semantics, including the never-displaced NaN first claimant.
-    """
-
-    name = "sufferage-heap"
-    kernel = "heap"
-
-    def __init__(self, chunk_size: int | None = None) -> None:
-        self.chunk_size = chunk_size
-
-    def plan(
-        self,
-        requests: Sequence[Request],
-        costs: CostProvider,
-        avail: np.ndarray,
-    ) -> list[PlannedAssignment]:
-        avail = check_avail(avail, costs.grid.n_machines).copy()
-        n = len(requests)
-        if n == 0:
-            return []
-        m = costs.grid.n_machines
-        ecc = np.empty((n, m), dtype=np.float64)
-        best_machine = np.empty(n, np.int64)
-        best = np.empty(n, np.float64)
-        second_machine = np.empty(n, np.int64)
-        second = np.empty(n, np.float64)
-        for start, chunk in costs.mapping_ecc_chunks(
-            requests, chunk_size=self.chunk_size
-        ):
-            stop = start + chunk.shape[0]
-            ecc[start:stop] = chunk
-            bm, bv, sm, sv = _best_two_rows(chunk + avail[None, :])
-            best_machine[start:stop] = bm
-            best[start:stop] = bv
-            second_machine[start:stop] = sm
-            second[start:stop] = sv
-        with np.errstate(invalid="ignore"):
-            sufferage = second - best  # NaN only for all-inf (rejected) rows
-        suff_key = np.where(np.isnan(sufferage), -np.inf, sufferage)
-
-        live = np.arange(n)
-        plan: list[PlannedAssignment] = []
-        while live.size:
-            bm_l = best_machine[live]
-            suff_l = sufferage[live]
-            k = live.size
-            positions = np.arange(k)
-            # Frozen claim semantics (see FastSufferageHeuristic): the
-            # winner is the earliest position at the group's maximal
-            # sufferage, except a NaN first claimant is never displaced.
-            by_suff = np.lexsort((positions, -suff_key[live], bm_l))
-            by_pos = np.lexsort((positions, bm_l))
-            group_start = np.ones(k, dtype=bool)
-            group_start[1:] = bm_l[by_suff[1:]] != bm_l[by_suff[:-1]]
-            winners = by_suff[group_start]
-            group_start[1:] = bm_l[by_pos[1:]] != bm_l[by_pos[:-1]]
-            first_claimants = by_pos[group_start]
-            winners = np.where(
-                np.isnan(suff_l[first_claimants]), first_claimants, winners
-            )
-
-            for winner in winners:
-                machine = int(bm_l[winner])
-                avail[machine] = float(best[live[winner]])
-                plan.append(
-                    PlannedAssignment(
-                        request=requests[int(live[winner])],
-                        machine_index=machine,
-                        order=len(plan),
-                    )
-                )
-            taken = np.zeros(k, dtype=bool)
-            taken[winners] = True
-            hit = np.zeros(m, dtype=bool)
-            hit[bm_l[winners]] = True
-            live = live[~taken]
-            if not live.size:
-                break
-            # Re-price exactly the rows whose tracked best/second machine
-            # committed; everything else keeps bit-identical floats.
-            stale = live[hit[best_machine[live]] | hit[second_machine[live]]]
-            if stale.size:
-                bm, bv, sm, sv = _best_two_rows(ecc[stale] + avail[None, :])
-                best_machine[stale] = bm
-                best[stale] = bv
-                second_machine[stale] = sm
-                second[stale] = sv
-                with np.errstate(invalid="ignore"):
-                    fresh = sv - bv
-                sufferage[stale] = fresh
-                suff_key[stale] = np.where(np.isnan(fresh), -np.inf, fresh)
-        return plan
-
-    @staticmethod
-    def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
-        """Oracle: the reference loop this kernel must match bit-for-bit."""
-        return SufferageHeuristic().plan(requests, costs, avail)

@@ -121,11 +121,11 @@ class TestNonInterference:
 
     @pytest.mark.parametrize(
         "heuristic,kernel",
-        [("min-min", "reference"), ("min-min-fast", "vectorized")],
+        [("kpb", "reference"), ("min-min", "heap"), ("sufferage", "vectorized")],
     )
     def test_latency_histogram_carries_kernel_label(self, heuristic, kernel):
-        """The mapping-latency histogram separates reference loops from the
-        vectorised fast paths via the ``kernel=`` label suffix."""
+        """The mapping-latency histogram names the kernel each public
+        heuristic runs via the ``kernel=`` label suffix."""
         params = {
             "n_tasks": 8, "n_machines": 3, "seed": 2,
             "heuristic": heuristic, "crash_prob": 0.0, "machine_faults": False,

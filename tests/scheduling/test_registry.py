@@ -26,6 +26,16 @@ class TestRegistry:
         for name in ("met", "olb", "kpb", "sa", "max-min", "duplex"):
             assert name in names
 
+    def test_public_names_are_the_nine_heuristics(self):
+        # One public name per [10] heuristic, each running one kernel whose
+        # own name is the public one (checkpoints and metric labels use it).
+        assert heuristic_names() == (
+            "duplex", "kpb", "max-min", "mct", "met", "min-min", "olb", "sa",
+            "sufferage",
+        )
+        for name in heuristic_names():
+            assert make_heuristic(name).name == name
+
     def test_make_heuristic_instantiates(self):
         assert isinstance(make_heuristic("mct"), ImmediateHeuristic)
         assert isinstance(make_heuristic("sufferage"), BatchHeuristic)

@@ -1,8 +1,8 @@
 """Golden tie-break tests: the heuristics' deterministic tie resolution.
 
-The vectorised kernels in :mod:`repro.scheduling.fast` are proven
-bit-identical to the reference loops, which makes the reference tie-breaks
-load-bearing API: if they drift, every equivalence proof and every frozen
+The kernels behind the public heuristic names are proven bit-identical
+to the reference loops, which makes the reference tie-breaks load-bearing
+API: if they drift, every equivalence proof and every frozen
 table drifts with them.  These tests pin the documented contracts on
 hand-built, tie-rich cost matrices with *literal* expected plans (derived
 by hand from the contracts — see the inline walk-throughs):
@@ -15,8 +15,8 @@ by hand from the contracts — see the inline walk-throughs):
 * KPB admits boundary-tied machines **lowest-index first** (stable
   selection) and breaks completion ties by candidate order.
 
-Both the reference and the fast implementation are held to the same
-literals.
+Both the reference loop and the kernel the public name runs are held to
+the same literals.
 """
 
 import hashlib
@@ -27,21 +27,12 @@ import pytest
 from repro.grid.activities import ActivitySet
 from repro.grid.request import Request, Task
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.fast import (
-    FastKpbHeuristic,
-    FastMaxMinHeuristic,
-    FastMinMinHeuristic,
-    FastSufferageHeuristic,
-)
+from repro.scheduling.fast import FastMaxMinHeuristic, FastSufferageHeuristic
 from repro.scheduling.kpb import KpbHeuristic, kpb_subset_size
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
-from repro.scheduling.scale import (
-    HeapMaxMinHeuristic,
-    HeapMinMinHeuristic,
-    HeapSufferageHeuristic,
-)
+from repro.scheduling.scale import HeapMinMinHeuristic
 from repro.scheduling.sufferage import SufferageHeuristic
 from repro.workloads.scenario import ScenarioSpec, materialize
 
@@ -82,7 +73,7 @@ def as_tuples(plan):
     return [(p.request.index, p.machine_index, p.order) for p in plan]
 
 
-@pytest.mark.parametrize("Heuristic", [MinMinHeuristic, FastMinMinHeuristic])
+@pytest.mark.parametrize("Heuristic", [MinMinHeuristic, HeapMinMinHeuristic])
 def test_min_min_tie_breaks(tie_case, Heuristic):
     # Round 1: t0..t3 all have best completion 3 -> lowest position t0,
     # whose lowest-index argmin is m0.  Round 2: t1/t2/t3 tie at 3 -> t1
@@ -133,7 +124,8 @@ def test_sufferage_tie_breaks(tie_case, Heuristic):
     ]
 
 
-@pytest.mark.parametrize("Heuristic", [KpbHeuristic, FastKpbHeuristic])
+# The public "kpb" name runs the reference kernel itself.
+@pytest.mark.parametrize("Heuristic", [KpbHeuristic])
 def test_kpb_tie_breaks(tie_case, Heuristic):
     # k=40% of 3 machines -> subset of 2, admitted in (cost, index) order.
     requests, costs = tie_case
@@ -160,9 +152,9 @@ def test_kpb_subset_size_pinned():
 #
 # At 10⁴ tasks the reference oracles are too slow to serve as in-test
 # oracles, so the full assignment sequence is pinned as a sha256 over
-# "request:machine" pairs instead: the fast kernels (proven bit-identical
-# to the references at small n) and the heap scale kernels must both hit
-# the same literal digest.  Any tie-break or float-path drift at scale —
+# "request:machine" pairs instead: the kernel behind each public name
+# (proven bit-identical to its reference at small n) must hit the literal
+# digest.  Any tie-break or float-path drift at scale —
 # where value collisions are plentiful — changes the digest.
 
 GOLDEN_SCALE_SPEC = dict(n_tasks=10_000, n_machines=16, seed=7)
@@ -196,12 +188,9 @@ def scale_case():
 @pytest.mark.parametrize(
     "key,Heuristic",
     [
-        ("min-min", FastMinMinHeuristic),
         ("min-min", HeapMinMinHeuristic),
         ("max-min", FastMaxMinHeuristic),
-        ("max-min", HeapMaxMinHeuristic),
         ("sufferage", FastSufferageHeuristic),
-        ("sufferage", HeapSufferageHeuristic),
     ],
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )

@@ -80,6 +80,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mct" in out and "[batch ]" in out and "[online]" in out
 
+    def test_families_prints_one_row_per_heuristic(self, capsys):
+        argv = ["families", "--replications", "1", "--tasks", "10", "--workers", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # Title, header and rule lines, then one row per heuristic.
+        names = [line.split("|")[0].strip() for line in out.strip().splitlines()[3:]]
+        assert len(names) == 9
+        assert "min-min" in names and "sufferage" in names
+
     def test_save_and_replay_scenario(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         assert main(["save-scenario", str(path), "--tasks", "15", "--seed", "2"]) == 0
