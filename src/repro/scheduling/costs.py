@@ -26,9 +26,10 @@ hard constraint against the locally-derivable *forced* TC row (``RTL = F``
 still forces the maximum supplement under Table 1, so REJECT admission
 control keeps holding), and skips the row cache so the next access retries
 the plane — rows re-price to the exact fresh values the moment the source
-recovers.  Ground-truth accessors (:meth:`CostProvider.trust_cost_row`)
-never route through the source: completion accounting reads the table
-directly, as the paper's RMS does once a machine is committed.
+recovers.  Ground-truth accessors (:meth:`CostProvider.trust_cost_row`,
+:meth:`CostProvider.realized_costs`) never route through the source:
+completion accounting reads the table directly, as the paper's RMS does
+once a machine is committed.
 """
 
 from __future__ import annotations
@@ -305,13 +306,7 @@ class CostProvider:
             return np.zeros((0, m), dtype=np.float64)
         if self.metrics.enabled:
             self.metrics.counter("costs.ecc_rows").add(n)
-        tasks = np.fromiter((r.task.index for r in requests), dtype=np.int64, count=n)
-        if tasks.min() < 0 or tasks.max() >= self.eec.shape[0]:
-            bad = int(tasks[(tasks < 0) | (tasks >= self.eec.shape[0])][0])
-            raise ConfigurationError(
-                f"task index {bad} outside the EEC matrix ({self.eec.shape[0]} rows)"
-            )
-        eec = self.eec[tasks]
+        eec = self.eec[self._task_indices(requests)]
         tc, degraded = self._tc_matrix(requests)
         ecc = self.policy.mapping_ecc(eec, tc)
         if degraded.any():
@@ -366,6 +361,22 @@ class CostProvider:
             raise ConfigurationError("chunk_size must be >= 1")
         for start in range(0, len(requests), size):
             yield start, self.mapping_ecc_matrix(requests[start : start + size])
+
+    def _task_indices(self, requests: Sequence[Request]) -> list[int]:
+        """Task indices of ``requests``, range-checked against the EEC rows.
+
+        Only the upper bound needs checking: :class:`~repro.grid.request.Task`
+        rejects negative indices at construction.  A plain list, because
+        windows are small and numpy reductions cost microseconds each.
+        """
+        tasks = [r.task.index for r in requests]
+        rows = self.eec.shape[0]
+        if tasks and max(tasks) >= rows:
+            bad = next(t for t in tasks if t >= rows)
+            raise ConfigurationError(
+                f"task index {bad} outside the EEC matrix ({rows} rows)"
+            )
+        return tasks
 
     def _tc_matrix(
         self, requests: Sequence[Request]
@@ -533,12 +544,45 @@ class CostProvider:
         A request mapped under degraded pricing pays the blanket
         trust-unaware security cost: without trust data at commitment time
         the deployment applies conservative security on every element, the
-        paper's fallback stance.
+        paper's fallback stance.  The engine commits through
+        :meth:`realized_costs`; this row is its per-request test oracle.
         """
         eec = self.eec_row(request)
         if request.index in self._degraded:
             return eec + self.policy.esc_unaware(eec)
         return self.policy.realized_ecc(eec, self.trust_cost_row(request))
+
+    def realized_costs(
+        self, requests: Sequence[Request], machines: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ground-truth prices of a committed plan, one entry per item.
+
+        For each ``(requests[i], machines[i])`` returns the EEC, the
+        realised completion cost and the trust cost — element ``i`` equals
+        ``eec_row(r)[j]``, ``realized_ecc_row(r)[j]`` and
+        ``trust_cost_row(r)[j]`` bit for bit.  EEC is gathered in one fancy
+        index, TC comes from the key cache and retry overrides (never the
+        trust source), and the policy's realised formula runs once over the
+        whole plan; degraded requests pay the blanket unaware price.
+
+        Returns:
+            ``(eec, realized, tc)`` float vectors of length ``len(requests)``.
+        """
+        eec = self.eec[self._task_indices(requests), machines]
+        tc = np.array(
+            [
+                self._tc_row(r, self._compute_tc_row)[j]
+                for r, j in zip(requests, machines)
+            ],
+            dtype=np.float64,
+        )
+        realized = self.policy.realized_ecc(eec, tc)
+        if self._degraded:
+            degraded = np.array([r.index in self._degraded for r in requests])
+            realized[degraded] = eec[degraded] + self.policy.esc_unaware(
+                eec[degraded]
+            )
+        return eec, realized, tc
 
     def with_policy(self, policy: TrustPolicy) -> "CostProvider":
         """A provider over the same workload under a different policy.

@@ -123,6 +123,7 @@ class SchedulingEngine:
         completion: float,
         eec: float,
         cost: float,
+        tc: float,
         attempt: int,
     ) -> None:
         sched = self.scheduler
@@ -135,7 +136,7 @@ class SchedulingEngine:
             completion_time=completion,
             eec=eec,
             realized_cost=cost,
-            trust_cost=float(sched.costs.trust_cost_row(request)[machine]),
+            trust_cost=tc,
             attempt=attempt,
         )
         if request.index in self.records:
@@ -198,16 +199,42 @@ class SchedulingEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def _realize(self, request: Request, machine: int, mapped_time: float) -> None:
+    def _commit_plan(
+        self, requests: Sequence[Request], machines: Sequence[int], mapped_time: float
+    ) -> None:
+        """Validate, price and commit a whole plan, in plan order.
+
+        Every machine is checked before anything is booked, and the plan is
+        priced in one :meth:`~repro.scheduling.costs.CostProvider.realized_costs`
+        pass — committing books machines and schedules events but never
+        changes a price, so pricing ahead of the loop is exact.
+        """
+        n_machines = self.scheduler.grid.n_machines
+        for machine in machines:
+            if not 0 <= machine < n_machines:
+                raise SchedulingError(f"heuristic chose invalid machine {machine}")
+        eec, cost, tc = self.scheduler.costs.realized_costs(requests, machines)
+        for request, machine, e, c, t in zip(
+            requests, machines, eec.tolist(), cost.tolist(), tc.tolist()
+        ):
+            self._commit(request, machine, mapped_time, e, c, t)
+
+    def _commit(
+        self,
+        request: Request,
+        machine: int,
+        mapped_time: float,
+        eec: float,
+        cost: float,
+        tc: float,
+    ) -> None:
         sched = self.scheduler
         state = self.states[machine]
-        eec = float(sched.costs.eec_row(request)[machine])
-        cost = float(sched.costs.realized_ecc_row(request)[machine])
         if sched.faults is None:
             start = max(state.available_time, mapped_time)
             completion = state.assign(mapped_time, cost)
             self._complete(
-                request, machine, mapped_time, start, completion, eec, cost, 1
+                request, machine, mapped_time, start, completion, eec, cost, tc, 1
             )
             return
 
@@ -232,6 +259,7 @@ class SchedulingEngine:
                 outcome.end_time,
                 eec,
                 cost,
+                tc,
                 attempt,
             )
             return
@@ -351,8 +379,7 @@ class SchedulingEngine:
                 )
             if sched.metrics.enabled:
                 sched.metrics.counter("sched.mappings").add()
-            self._check_machine(machine)
-            self._realize(request, machine, time)
+            self._commit_plan((request,), (machine,), time)
         else:
             self.pending.append(request)
 
@@ -390,9 +417,11 @@ class SchedulingEngine:
         # million-item plan every window.
         if any(a.order > b.order for a, b in zip(plan, plan[1:])):
             plan = sorted(plan, key=lambda p: p.order)
-        for item in plan:
-            self._check_machine(item.machine_index)
-            self._realize(item.request, item.machine_index, time)
+        self._commit_plan(
+            [item.request for item in plan],
+            [item.machine_index for item in plan],
+            time,
+        )
         self.pending.clear()
         return len(meta)
 
@@ -464,7 +493,3 @@ class SchedulingEngine:
             ),
             dropped=tuple(sorted(self.dropped)),
         )
-
-    def _check_machine(self, machine: int) -> None:
-        if not 0 <= machine < self.scheduler.grid.n_machines:
-            raise SchedulingError(f"heuristic chose invalid machine {machine}")

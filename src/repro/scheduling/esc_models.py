@@ -60,7 +60,9 @@ class LinearEsc(EscModel):
 
     def fractions(self, tc: np.ndarray) -> np.ndarray:
         tc = np.asarray(tc, dtype=np.float64)
-        if np.any(tc < 0):
+        # ``.any()`` rather than ``np.any``: this runs on every committed
+        # window and every priced row, and the wrapper costs ~2 µs a call.
+        if (tc < 0).any():
             raise ValueError("trust costs must be non-negative")
         return tc * self.weight / 100.0
 
@@ -84,7 +86,7 @@ class TableEsc(EscModel):
 
     def fractions(self, tc: np.ndarray) -> np.ndarray:
         tc = np.asarray(tc, dtype=np.float64)
-        if np.any((tc < 0) | (tc > TC_MAX)):
+        if ((tc < 0) | (tc > TC_MAX)).any():
             raise ValueError(f"trust costs must lie in [0, {TC_MAX}]")
         grid = np.arange(TC_MAX + 1, dtype=np.float64)
         return np.interp(tc, grid, np.asarray(self.table, dtype=np.float64))

@@ -235,7 +235,3 @@ class TRMScheduler:
                 f"dropped of {total} requests"
             )
         return engine.result(requests)
-
-    def _check_machine(self, machine: int) -> None:
-        if not 0 <= machine < self.grid.n_machines:
-            raise SchedulingError(f"heuristic chose invalid machine {machine}")

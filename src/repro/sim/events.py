@@ -1,9 +1,10 @@
 """Event representation for the discrete-event kernel.
 
-An :class:`Event` pairs a firing time with a handler callback.  Events are
-totally ordered by ``(time, priority, sequence)`` — the sequence number is a
-monotonically increasing tiebreaker assigned by the queue, so simultaneous
-events fire in scheduling order and runs are fully deterministic.
+An :class:`Event` pairs a firing time with a handler callback.  The queue
+fires events in ``(time, priority, sequence)`` order — the sequence number is
+a monotonically increasing tiebreaker assigned by the queue, so simultaneous
+events fire in scheduling order and runs are fully deterministic.  Events
+themselves are never compared: the queue keys its heap on that tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class EventPriority(enum.IntEnum):
     GENERIC = 5
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled occurrence.
 

@@ -4,6 +4,10 @@ A thin, well-tested wrapper over :mod:`heapq` that assigns monotone sequence
 numbers (deterministic tiebreaking for simultaneous events) and skips
 cancelled events lazily on pop — the standard priority-queue idiom that
 avoids O(n) removal.
+
+The heap holds ``(time, priority, sequence, event)`` tuples rather than the
+events themselves, so every sift compares floats and ints in C.  Sequence
+numbers are unique, so the comparison never reaches the event.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ class EventQueue:
     """Priority queue of :class:`~repro.sim.events.Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._next_sequence = 0
         self._live = 0
 
@@ -28,9 +32,11 @@ class EventQueue:
 
         Returns the event (for chaining / later cancellation).
         """
-        event.sequence = self._next_sequence
+        sequence = event.sequence = self._next_sequence
         self._next_sequence += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(
+            self._heap, (event.time, int(event.priority), sequence, event)
+        )
         self._live += 1
         return event
 
@@ -41,7 +47,7 @@ class EventQueue:
             IndexError: when the queue holds no live events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -55,9 +61,10 @@ class EventQueue:
 
     def peek(self) -> Event | None:
         """The earliest live event itself, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][3] if heap else None
 
     def cancel(self, event: Event) -> None:
         """Cancel an event previously pushed onto this queue."""

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.grid.activities import ActivitySet
 from repro.grid.request import Request, Task
+from repro.scheduling.base import PlannedAssignment
+from repro.scheduling.engine import SchedulingEngine
 from repro.scheduling.mct import MctHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
 from repro.scheduling.scheduler import TRMScheduler
+from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
 
@@ -164,6 +167,25 @@ class TestBatchMode:
             small_grid, eec, TrustPolicy.aware(), MinMinHeuristic(), batch_interval=10.0
         ).run(reqs)
         assert result.records[0].mapped_time == 10.0
+
+    def test_invalid_planned_machine_commits_nothing(self, small_grid):
+        class LastOffGrid(MinMinHeuristic):
+            def plan(self, requests, costs, availability):
+                plan = super().plan(requests, costs, availability)
+                last = plan[-1]
+                return [*plan[:-1], PlannedAssignment(last.request, 99, last.order)]
+
+        neutral_trust(small_grid)
+        scheduler = TRMScheduler(
+            small_grid, np.full((3, 3), 1.0), TrustPolicy.aware(), LastOffGrid(),
+            batch_interval=10.0,
+        )
+        engine = SchedulingEngine(scheduler, Simulator())
+        engine.pending.extend(make_requests(small_grid, [1.0, 2.0, 3.0]))
+        with pytest.raises(SchedulingError, match="invalid machine 99"):
+            engine.form_batch(10.0)
+        assert engine.records == {}
+        assert all(state.available_time == 0.0 for state in engine.states)
 
 
 class TestPairedDeterminism:

@@ -96,3 +96,72 @@ class TestEventQueue:
             q.push(Event(time=t))
         popped = [q.pop().time for _ in range(len(times))]
         assert popped == sorted(times)
+
+
+# One operation on the queue: push (time, priority), cancel the k-th pushed
+# event (if it is still pending), or pop.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6]),
+            st.sampled_from(list(EventPriority)),
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=60)),
+        st.tuples(st.just("pop")),
+    ),
+    max_size=80,
+)
+
+
+@given(_ops)
+def test_interleaved_ops_pop_in_key_order(ops):
+    """Pops follow sorted ``(time, priority, sequence)`` over live events.
+
+    ``peek``, ``pop``, ``len`` and ``bool`` agree with a sorted-list model
+    after every operation, and cancelled events never surface.
+    """
+    q = EventQueue()
+    pushed: list[Event] = []
+    live: dict[int, Event] = {}  # sequence -> pending event
+    cancelled: set[int] = set()
+
+    def key(event):
+        return (event.time, event.priority, event.sequence)
+
+    for op in ops:
+        if op[0] == "push":
+            event = q.push(Event(time=op[1], priority=op[2]))
+            assert event.sequence == len(pushed)
+            pushed.append(event)
+            live[event.sequence] = event
+        elif op[0] == "cancel" and (op[1] in live or op[1] in cancelled):
+            q.cancel(pushed[op[1]])  # cancelling twice is a no-op
+            cancelled.add(op[1])
+            live.pop(op[1], None)
+        elif op[0] == "pop" and live:
+            expected = min(live.values(), key=key)
+            assert q.pop() is expected
+            del live[expected.sequence]
+        expected = min(live.values(), key=key) if live else None
+        assert q.peek() is expected
+        assert q.peek_time() == (expected.time if expected else None)
+        assert len(q) == len(live)
+        assert bool(q) == bool(live)
+    drained = []
+    while q:
+        drained.append(q.pop())
+    assert drained == sorted(live.values(), key=key)
+    with pytest.raises(IndexError):
+        q.pop()
+
+
+@given(st.lists(st.sampled_from(list(EventPriority)), min_size=1, max_size=40))
+def test_same_time_same_priority_pops_in_push_order(priorities):
+    q = EventQueue()
+    events = [q.push(Event(time=1.0, priority=p)) for p in priorities]
+    popped = [q.pop() for _ in events]
+    for priority in set(priorities):
+        assert [e for e in popped if e.priority is priority] == [
+            e for e in events if e.priority is priority
+        ]
