@@ -28,12 +28,12 @@ Three entry points:
 * ``test_trust_kernel_full_sweep`` — the real sweep; opt-in via
   ``BENCH_TRUST_FULL=1``.  Writes ``BENCH_trust.json``.
 
-The scalar reference walks the whole trust table per Γ call (cubic over a
-full surface), so it is timed on ``REFERENCE_ROWS`` truster rows, runs
-only up to ``SCALAR_CAP`` entities, and the comparison is per-row; above
-the cap the surfaces are evaluated on ``LARGE_TRUSTER_ROWS`` trusters and
-checked bit-identical against a from-scratch engine instead.  See the
-trustbench module docstring.
+The scalar reference walks the trustee's domain bucket per Γ call (still
+cubic over a full surface), so it is timed on ``REFERENCE_ROWS`` truster
+rows, runs only up to ``SCALAR_CAP`` entities, and the comparison is
+per-row; above the cap the surfaces are evaluated on
+``LARGE_TRUSTER_ROWS`` trusters and checked bit-identical against a
+from-scratch engine instead.  See the trustbench module docstring.
 """
 
 from __future__ import annotations

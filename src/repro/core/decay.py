@@ -40,6 +40,9 @@ class DecayFunction(ABC):
     ``__call__`` routes through it on a one-element array so the two paths
     cannot drift (``math.exp`` and ``np.exp`` differ in the last ulp, which
     would break bit-identity between scalar and batched trust evaluation).
+    The one exception is :class:`NoDecay`, whose scalar call returns the
+    constant ``1.0`` directly: that is exactly what ``ones_like`` yields,
+    so no ulp can differ.
     """
 
     def __call__(self, age: float) -> float:
@@ -69,6 +72,10 @@ class DecayFunction(ABC):
 @dataclass(frozen=True, slots=True)
 class NoDecay(DecayFunction):
     """Identity decay: trust never ages (useful as a control in ablations)."""
+
+    def __call__(self, age: float) -> float:
+        self._check_age(age)
+        return 1.0
 
     def apply(self, ages: np.ndarray) -> np.ndarray:
         ages = np.asarray(ages, dtype=np.float64)

@@ -243,10 +243,16 @@ class TrustTable:
         that holds an opinion about ``trustee`` in ``context``.
 
         This is exactly the set the reputation sum of Section 2.2 ranges over.
+        Every opinion about ``trustee`` lives in its domain bucket, which
+        holds the global insertion order restricted to that domain (see
+        :meth:`domain_records`), so one scalar Ω reads one bucket instead
+        of the whole table and still sums its terms in table order.
         """
-        for (truster, target, ctx), rec in self._records.items():
+        records = self._records
+        for key in self._by_domain.get(self.domain_of(trustee), ()):
+            truster, target, ctx = key
             if target == trustee and ctx == context and truster != excluding:
-                yield truster, rec
+                yield truster, records[key]
 
     def entities(self) -> frozenset[EntityId]:
         """All entities that appear in the table (as truster or trustee)."""

@@ -21,8 +21,9 @@ scheduling workload's trust plane):
 
 The comparison is honest about its caps, and the payload records them:
 
-* the scalar reference walks the whole trust table once per ``gamma``
-  call (a full surface is cubic), so it runs only at sizes up to
+* the scalar reference walks the trustee's domain bucket (about
+  1/``n_shards`` of the table) once per ``gamma`` call, so a full surface
+  is still cubic in the entity count; it runs only at sizes up to
   ``SCALAR_CAP`` and is timed on ``reference_rows`` truster rows;
 * above ``SCALAR_CAP`` the batched/wholesale/dirty surfaces are evaluated
   on ``LARGE_TRUSTER_ROWS`` truster rows (every trustee, every context) —
@@ -87,7 +88,7 @@ N_CONTEXTS = 4
 SEED = 0
 REPEATS = 3
 #: Truster rows the scalar reference is timed on (a full scalar surface is
-#: cubic: rows x trustees x table walk).
+#: cubic: rows x trustees x domain-bucket walk).
 REFERENCE_ROWS = 4
 #: Largest size at which the scalar oracle runs (and is asserted against).
 SCALAR_CAP = 1024

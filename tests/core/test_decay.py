@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.decay import (
+    DecayFunction,
     ExponentialDecay,
     HalfLifeDecay,
     LinearDecay,
@@ -111,3 +112,18 @@ class TestValidation:
     def test_bad_parameters_rejected(self, factory):
         with pytest.raises(ValueError):
             factory()
+
+
+@pytest.mark.parametrize("age", [0.0, 1e-300, 1e9, float("inf")])
+def test_no_decay_scalar_is_exactly_one(age):
+    scalar = NoDecay()(age)
+    assert type(scalar) is float
+    assert scalar == float(NoDecay().apply(np.asarray([age]))[0]) == 1.0
+
+
+def test_no_decay_rejects_negative_age_like_the_base_class():
+    with pytest.raises(ValueError) as own:
+        NoDecay()(-2.5)
+    with pytest.raises(ValueError) as base:
+        DecayFunction._check_age(-2.5)
+    assert str(own.value) == str(base.value) == "age must be non-negative, got -2.5"

@@ -14,7 +14,10 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import journal as journal_module
 from repro.core.context import TrustContext
 from repro.core.journal import (
     GRID_SIDECAR_SCHEMA,
@@ -25,6 +28,7 @@ from repro.core.journal import (
     TrustJournalError,
     apply_op,
     crc32c,
+    crc32c_many,
     read_journal,
 )
 from repro.core.recommender import RecommenderWeights
@@ -58,6 +62,44 @@ class TestCrc32c:
     def test_empty_and_incremental(self):
         assert crc32c(b"") == 0
         assert crc32c(b"ab") != crc32c(b"ba")
+
+
+# Batch sizes straddling the scalar/column crossover of ``crc32c_many``.
+_CROSSOVER = journal_module._COLUMN_MIN_FRAMES
+
+
+class TestCrc32cMany:
+    def test_empty_batch(self):
+        assert crc32c_many([]) == []
+
+    @pytest.mark.parametrize("n", [1, _CROSSOVER - 1, _CROSSOVER, 3 * _CROSSOVER])
+    def test_empty_payloads(self, n):
+        assert crc32c_many([b""] * n) == [0] * n
+
+    @pytest.mark.parametrize("n", [1, _CROSSOVER - 1, _CROSSOVER, 3 * _CROSSOVER])
+    def test_check_vector_inside_a_batch(self, n):
+        batch = [b"x" * (i % 7 * 40) for i in range(n - 1)]
+        batch.insert(n // 2, b"123456789")
+        assert crc32c_many(batch)[n // 2] == 0xE3069283
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        payloads=st.one_of(
+            st.lists(st.binary(max_size=600), max_size=_CROSSOVER - 1),
+            st.lists(
+                st.binary(max_size=600),
+                min_size=_CROSSOVER,
+                max_size=2 * _CROSSOVER,
+            ),
+        )
+    )
+    def test_matches_scalar(self, payloads):
+        assert crc32c_many(payloads) == [crc32c(p) for p in payloads]
+
+    def test_lengths_zero_to_600_in_one_batch(self):
+        payloads = [bytes((i * 7 + j) % 256 for j in range(i)) for i in range(601)]
+        payloads.reverse()  # unsorted input: results must keep input order
+        assert crc32c_many(payloads) == [crc32c(p) for p in payloads]
 
 
 class TestFrameCodec:
@@ -209,6 +251,47 @@ class TestJournalWriter:
         with pytest.raises(TrustJournalError):
             w.append({"op": "declare", "g": object(), "e": 1})
         w.close()
+
+    def test_append_rejects_non_json_op_before_sync(self, tmp_path):
+        w = JournalWriter.create(tmp_path / "j.wal")
+        pending = w.pending_bytes
+        with pytest.raises(TrustJournalError, match="not JSON-representable"):
+            w.append({"op": "record", "v": {1.5}})
+        assert w.pending_bytes == pending
+        w.close()
+        assert read_journal(tmp_path / "j.wal").ops == ()
+
+    @pytest.mark.parametrize("every", [1, 5, 200])
+    def test_synced_bytes_are_the_framed_payloads(self, tmp_path, every):
+        ops = [
+            {"op": "record", "z": f"z{i % 9}", "y": f"y{i % 4}", "c": "execute",
+             "v": (i % 11) / 10, "t": float(i), "n": 1 + i % 3,
+             "d": i % 5, "e": i + 1}
+            if i % 3
+            else {"op": "declare", "g": f"g{i}", "m": ["a"] * (i % 13), "e": i}
+            for i in range(230)
+        ]
+        path = tmp_path / "j.wal"
+        w = JournalWriter.create(path, base="digest")
+        header = {"op": "header", "schema": JOURNAL_SCHEMA, "base": "digest"}
+        expected = _frame(
+            json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+        )
+        synced = len(expected)
+        assert w.synced_offset == synced
+        for i, op in enumerate(ops, start=1):
+            expected += _frame(
+                json.dumps(op, separators=(",", ":"), sort_keys=True).encode()
+            )
+            assert w.append(op) == len(expected)
+            assert w.pending_bytes == len(expected) - synced
+            if i % every == 0:
+                synced = len(expected)
+                assert w.sync() == synced == w.synced_offset
+                assert w.pending_bytes == 0
+        w.close()
+        assert path.read_bytes() == expected
+        assert read_journal(path).ops == tuple(ops)
 
     def test_metrics_counter(self, tmp_path):
         metrics = MetricsRegistry()

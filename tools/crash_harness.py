@@ -25,8 +25,8 @@ prefix — torn frames truncate, they never poison or refuse recovery.
 
 Usage::
 
-    PYTHONPATH=src python tools/crash_harness.py            # full sweep
-    PYTHONPATH=src python tools/crash_harness.py --quick    # CI-bounded
+    PYTHONPATH=src python tools/crash_harness.py            # full sweep (CI)
+    PYTHONPATH=src python tools/crash_harness.py --quick    # bounded stride
 
 Exit status 0 when every kill point recovers equivalently.
 """
