@@ -15,6 +15,13 @@ The payload is produced by :meth:`GridService.checkpoint
 :meth:`GridService.resume <repro.service.service.GridService.resume>`;
 this module owns the schema tag, structural validation, and the file
 round-trip.
+
+Periodic boundary checkpoints are not built when they are taken: the
+service keeps a *mark* — the in-flight and scalar part of the payload
+plus the lengths of the engine's append-only settled ledgers — and builds
+the self-contained payload from the ledger prefix only when a checkpoint
+is read.  A payload is the same dict either way, so this module sees
+only payloads.  Files are written as compact, key-sorted JSON.
 """
 
 from __future__ import annotations
@@ -331,19 +338,24 @@ def resolve_trust_journal(payload: dict, **recover_kwargs: Any) -> Any:
 
 
 def save_checkpoint(payload: dict, path: str | Path) -> Path:
-    """Validate ``payload`` and write it to ``path`` as JSON.
+    """Validate ``payload`` and write it to ``path`` as compact JSON.
 
-    The write goes through a temporary sibling file, an ``fsync``, an
-    atomic rename, and an ``fsync`` of the parent directory — rename
-    alone orders the swap but does not make it durable, so a crash after
-    a bare rename could resurface the previous checkpoint (or none).
+    The file is one line of key-sorted JSON without indentation, which
+    the C encoder writes (``indent`` would force the pure-Python one);
+    :func:`load_checkpoint` reads back an equal payload.  The write goes
+    through a temporary sibling file, an ``fsync``, an atomic rename, and
+    an ``fsync`` of the parent directory — rename alone orders the swap
+    but does not make it durable, so a crash after a bare rename could
+    resurface the previous checkpoint (or none).
     """
     from repro.core.journal import sync_dir, sync_file
 
     validate_checkpoint(payload)
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    )
     sync_file(tmp)
     tmp.replace(path)
     sync_dir(path.parent)

@@ -17,7 +17,11 @@ long-lived system instead of a one-shot batch experiment:
   a backlog that stops making progress;
 * **checkpoints** at window boundaries capture the complete service state
   (:mod:`repro.service.checkpoint`) so a crash between windows resumes
-  with settled-exactly-once accounting.
+  with settled-exactly-once accounting.  A boundary checkpoint is kept as
+  a *mark* — the in-flight state plus the lengths of the engine's
+  append-only settled ledgers — and becomes a self-contained payload only
+  when it is read, so taking one costs what is in flight, not what has
+  settled.
 
 The service is *equivalence-preserving by construction*: with unlimited
 admission and no kills it drives the shared
@@ -30,13 +34,13 @@ Table-6 workload.
 
 from __future__ import annotations
 
+import copy
 import time as _time
 from collections import Counter as _Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
-
-import numpy as np
 
 from repro.errors import (
     CheckpointError,
@@ -148,7 +152,13 @@ class ServiceResult:
         backpressure_engagements: times the backpressure latch engaged.
         backpressure_releases: times it released.
         checkpoint_payloads: the boundary checkpoints themselves, in the
-            order taken (``checkpoint_every`` runs only).
+            order taken (``checkpoint_every`` runs only) — a read-only
+            sequence that builds each v1 payload when it is indexed
+            (negative indices included); every read returns a fresh dict.
+            It reads the run's engine ledgers, so a result keeps its
+            service alive; it compares equal to any sequence of equal
+            payloads, and pickling or deep-copying it yields a plain tuple
+            of payloads.
     """
 
     schedule: ScheduleResult
@@ -160,7 +170,7 @@ class ServiceResult:
     checkpoints: int
     backpressure_engagements: int
     backpressure_releases: int
-    checkpoint_payloads: tuple[dict, ...] = ()
+    checkpoint_payloads: Sequence[dict] = ()
 
     @property
     def shed_total(self) -> int:
@@ -246,7 +256,10 @@ class GridService:
         self._watchdog_trips = 0
         self._stalled_windows = 0
         self._last_settled = 0
-        self._checkpoints: list[dict] = []
+        self._marks: list[_Mark] = []
+        #: Exclusions frozen when the run stops, so reading a mark later
+        #: does not see a reused scheduler's cost provider.
+        self._final_exclusions: dict[int, frozenset[int]] | None = None
         self._kill_after: int | None = None
         self._checkpoint_every: int | None = None
 
@@ -267,7 +280,7 @@ class GridService:
                 :class:`~repro.errors.ServiceKilled` (carrying the
                 boundary checkpoint) once this many windows completed.
             checkpoint_every: take a checkpoint every N windows; taken
-                checkpoints accumulate on :attr:`checkpoints`.
+                checkpoints accumulate on :attr:`checkpoints` as marks.
 
         Returns:
             The :class:`ServiceResult`; its ``schedule`` accounts for
@@ -473,13 +486,17 @@ class GridService:
         return self._drive()
 
     @property
-    def checkpoints(self) -> tuple[dict, ...]:
-        """Boundary checkpoints taken during the run (``checkpoint_every``)."""
-        return tuple(self._checkpoints)
+    def checkpoints(self) -> Sequence[dict]:
+        """Boundary checkpoints taken so far (``checkpoint_every``).
+
+        A read-only sequence over the marks taken up to now; indexing it
+        builds that boundary's v1 payload, a fresh dict on every read.
+        """
+        return _CheckpointLog(self._materialize, tuple(self._marks))
 
     # -- checkpointing -------------------------------------------------------
 
-    def checkpoint(self) -> dict:
+    def checkpoint(self, *, _keep: bool = False) -> dict | None:
         """Capture the complete service state at a window boundary.
 
         Returns a JSON-compatible payload (see
@@ -487,6 +504,26 @@ class GridService:
         configurations can be checkpointed: a trust source with a *random*
         outage process (``outage_mtbf``) materialises its timeline lazily
         and cannot be restored faithfully.
+
+        The periodic boundaries of a ``checkpoint_every`` run pass
+        ``_keep``: the checkpoint is then only marked onto
+        :attr:`checkpoints` and nothing is built or returned, so taking it
+        costs what is in flight.
+        """
+        mark = self._mark()
+        if _keep:
+            self._marks.append(mark)
+            return None
+        return self._materialize(mark)
+
+    def _mark(self) -> _Mark:
+        """Record a boundary: O(in-flight), whatever has settled.
+
+        The settled ledgers (``records``, ``rejected``, ``dropped``,
+        ``failures``, ``attempts``) only ever grow, and a settled request's
+        ``attempts`` entry and exclusions never change again, so their
+        lengths pin the settled part; only the unsettled requests'
+        attempts and exclusions are copied.
         """
         engine, sim = self._running()
         ts = self.scheduler.trust_source
@@ -500,7 +537,7 @@ class GridService:
                 "process (outage_mtbf); use blackout/explicit outage "
                 "windows for recoverable runs"
             )
-        payload: dict[str, Any] = {
+        head: dict[str, Any] = {
             "schema": CHECKPOINT_SCHEMA,
             "epoch": self._epoch,
             "clock": sim.now,
@@ -518,13 +555,6 @@ class GridService:
                 }
                 for s in engine.states
             ],
-            "records": {
-                str(k): _record_dict(r) for k, r in engine.records.items()
-            },
-            "rejected": {str(k): v for k, v in engine.rejected.items()},
-            "dropped": list(engine.dropped),
-            "failures": [_failure_dict(f) for f in engine.failures],
-            "attempts": {str(k): v for k, v in engine.attempts.items()},
             "batches_formed": engine.batches_formed,
             "pending": [r.index for r in engine.pending],
             "inflight_failures": {
@@ -534,10 +564,6 @@ class GridService:
             "inflight_retries": {
                 str(k): [due, attempt]
                 for k, (due, attempt) in engine.inflight_retries.items()
-            },
-            "exclusions": {
-                str(k): sorted(machines)
-                for k, machines in self.scheduler.costs.all_exclusions().items()
             },
             "admission": (
                 self.admission.bucket.state_dict()
@@ -559,23 +585,88 @@ class GridService:
             },
         }
         if ts is not None:
-            breaker = ts.breaker
-            opened_at = breaker._opened_at
-            payload["trust_plane"] = {
-                "now": ts.now,
-                "breaker": {
-                    "state": breaker._state.value,
-                    "failures": breaker._failures,
-                    "probes_ok": breaker._probes_ok,
-                    "opened_at": None if np.isneginf(opened_at) else opened_at,
-                    "transitions": breaker._transitions,
-                },
-                "rng": _jsonify_rng_state(ts._rng.bit_generator.state),
-            }
+            head["trust_plane"] = ts.state_dict()
         if self.trust_plane is not None:
             # Delta-checkpoint the durable trust plane: fsync only the
             # journal tail (O(changes)), pin the durable offset.
-            attach_trust_journal(payload, self.trust_plane)
+            attach_trust_journal(head, self.trust_plane)
+        unsettled = [r.index for r in engine.pending]
+        unsettled += engine.inflight_failures
+        unsettled += engine.inflight_retries
+        costs = self.scheduler.costs
+        exclusions = {}
+        for k in unsettled:
+            machines = costs.exclusions(k)
+            if machines:
+                exclusions[k] = sorted(machines)
+        return _Mark(
+            head=head,
+            lengths=(
+                len(engine.records),
+                len(engine.rejected),
+                len(engine.dropped),
+                len(engine.failures),
+                len(engine.attempts),
+            ),
+            attempts={
+                k: engine.attempts[k] for k in unsettled if k in engine.attempts
+            },
+            exclusions=exclusions,
+        )
+
+    def _materialize(self, mark: _Mark) -> dict:
+        """Build the self-contained v1 payload of ``mark``.
+
+        The settled part is the ledger prefix the mark's lengths pin; the
+        in-flight part comes from the mark itself.  Every call returns a
+        fresh dict that shares nothing with the mark or the engine.
+
+        Raises:
+            CheckpointError: an ``attempts`` entry in the prefix belongs to
+                a request neither settled at the mark nor captured in
+                flight — the ledgers were not append-only.
+        """
+        engine, _ = self._running()
+        n_records, n_rejected, n_dropped, n_failures, n_attempts = mark.lengths
+        records = dict(islice(engine.records.items(), n_records))
+        rejected = dict(islice(engine.rejected.items(), n_rejected))
+        dropped = engine.dropped[:n_dropped]
+        settled = records.keys() | rejected.keys() | set(dropped)
+        attempts: dict[str, int] = {}
+        for k, v in islice(engine.attempts.items(), n_attempts):
+            if k in mark.attempts:
+                v = mark.attempts[k]
+            elif k not in settled:
+                raise CheckpointError(
+                    f"request {k} has attempts in the ledger prefix but was "
+                    "neither settled nor in flight at the checkpoint; the "
+                    "settled ledgers are not append-only"
+                )
+            attempts[str(k)] = v
+        source = (
+            self._final_exclusions
+            if self._final_exclusions is not None
+            else self.scheduler.costs.all_exclusions()
+        )
+        exclusions = {
+            str(k): sorted(machines)
+            for k, machines in source.items()
+            if k in settled
+        }
+        exclusions.update(
+            (str(k), list(machines)) for k, machines in mark.exclusions.items()
+        )
+        payload = copy.deepcopy(mark.head)
+        payload["records"] = {
+            str(k): _record_dict(r) for k, r in records.items()
+        }
+        payload["rejected"] = {str(k): v for k, v in rejected.items()}
+        payload["dropped"] = dropped
+        payload["failures"] = [
+            _failure_dict(f) for f in engine.failures[:n_failures]
+        ]
+        payload["attempts"] = attempts
+        payload["exclusions"] = exclusions
         return payload
 
     def _restore_trust_plane(self, payload: dict) -> None:
@@ -593,17 +684,7 @@ class GridService:
                 "checkpoint carries trust-plane state but the resumed "
                 "service has no trust source"
             )
-        ts.now = float(plane["now"])
-        b = plane["breaker"]
-        breaker = ts.breaker
-        breaker._state = _breaker_state(b["state"])
-        breaker._failures = int(b["failures"])
-        breaker._probes_ok = int(b["probes_ok"])
-        breaker._opened_at = (
-            -np.inf if b["opened_at"] is None else float(b["opened_at"])
-        )
-        breaker._transitions = int(b["transitions"])
-        ts._rng.bit_generator.state = _unjsonify_rng_state(plane["rng"])
+        ts.restore(plane)
 
     # -- event handlers ------------------------------------------------------
 
@@ -679,7 +760,7 @@ class GridService:
             self._checkpoint_every is not None
             and self._epoch % self._checkpoint_every == 0
         ):
-            self._checkpoints.append(self.checkpoint())
+            self.checkpoint(_keep=True)
             if self.metrics.enabled:
                 self.metrics.counter("svc.checkpoints").add()
         if self._kill_after is not None and self._epoch >= self._kill_after:
@@ -753,7 +834,12 @@ class GridService:
 
     def _drive(self) -> ServiceResult:
         engine, sim = self._running()
-        sim.run()
+        try:
+            sim.run()
+        finally:
+            # Marks read after the run must not see later mutations of the
+            # scheduler's cost provider (e.g. a reused scheduler).
+            self._final_exclusions = self.scheduler.costs.all_exclusions()
         settled = (
             len(engine.records) + len(engine.rejected) + len(engine.dropped)
         )
@@ -770,14 +856,14 @@ class GridService:
             shed=dict(sorted(self._shed.items())),
             windows=self._epoch,
             watchdog_trips=self._watchdog_trips,
-            checkpoints=len(self._checkpoints),
+            checkpoints=len(self._marks),
             backpressure_engagements=(
                 self.latch.engagements if self.latch is not None else 0
             ),
             backpressure_releases=(
                 self.latch.releases if self.latch is not None else 0
             ),
-            checkpoint_payloads=tuple(self._checkpoints),
+            checkpoint_payloads=self.checkpoints,
         )
 
     def _shed_request(
@@ -817,6 +903,66 @@ class GridService:
         if self._engine is None or self._sim is None:
             raise ServiceError("the service has no active run")
         return self._engine, self._sim
+
+
+# -- marks and their materialised view ------------------------------------
+
+
+@dataclass(frozen=True)
+class _Mark:
+    """One boundary checkpoint, as taken.
+
+    Attributes:
+        head: every payload key except the settled ledgers, ``attempts``
+            and ``exclusions``, trust state and sidecar included; never
+            handed out, only deep-copied.
+        lengths: ``len`` of ``records``, ``rejected``, ``dropped``,
+            ``failures`` and ``attempts`` at the boundary.
+        attempts: attempts of the requests unsettled at the boundary.
+        exclusions: sorted exclusions of the requests unsettled at the
+            boundary.
+    """
+
+    head: dict[str, Any]
+    lengths: tuple[int, int, int, int, int]
+    attempts: dict[int, int]
+    exclusions: dict[int, list[int]]
+
+
+class _CheckpointLog(Sequence):
+    """Read-only ``Sequence[dict]`` over marks, materialised per read."""
+
+    __slots__ = ("_materialize", "_marks")
+
+    def __init__(
+        self, materialize: Callable[[_Mark], dict], marks: tuple[_Mark, ...]
+    ) -> None:
+        self._materialize = materialize
+        self._marks = marks
+
+    def __len__(self) -> int:
+        return len(self._marks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._materialize(m) for m in self._marks[index])
+        return self._materialize(self._marks[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        # Copies and pickles hold the payloads, not the service behind them.
+        return (tuple, (tuple(self),))
+
+    def __repr__(self) -> str:
+        return f"<{len(self._marks)} service checkpoints>"
 
 
 # -- (de)serialisation helpers ----------------------------------------------
@@ -859,29 +1005,3 @@ def _failure_from(d: dict) -> FailureEvent:
         wasted_work=float(d["wasted_work"]),
         kind=FailureKind(d["kind"]),
     )
-
-
-def _breaker_state(value: str):
-    from repro.trustfaults.breaker import BreakerState
-
-    return BreakerState(value)
-
-
-def _jsonify_rng_state(state: Any) -> Any:
-    """Recursively coerce numpy scalars in a bit-generator state to Python."""
-    if isinstance(state, dict):
-        return {k: _jsonify_rng_state(v) for k, v in state.items()}
-    if isinstance(state, np.ndarray):
-        return {"__ndarray__": state.tolist(), "dtype": str(state.dtype)}
-    if isinstance(state, np.generic):
-        return state.item()
-    return state
-
-
-def _unjsonify_rng_state(state: Any) -> Any:
-    """Invert :func:`_jsonify_rng_state` after a JSON round-trip."""
-    if isinstance(state, dict):
-        if "__ndarray__" in state:
-            return np.array(state["__ndarray__"], dtype=state["dtype"])
-        return {k: _unjsonify_rng_state(v) for k, v in state.items()}
-    return state

@@ -97,6 +97,32 @@ class CircuitBreaker:
         """Total state transitions so far."""
         return self._transitions
 
+    def state_dict(self) -> dict:
+        """The breaker's restorable state (JSON-compatible).
+
+        ``opened_at`` is ``None`` while the breaker has never opened (its
+        internal ``-inf``), so the dict survives strict JSON encoders.
+        """
+        return {
+            "state": self._state.value,
+            "failures": self._failures,
+            "probes_ok": self._probes_ok,
+            "opened_at": (
+                None if np.isneginf(self._opened_at) else self._opened_at
+            ),
+            "transitions": self._transitions,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Restore state captured by :meth:`state_dict`."""
+        self._state = BreakerState(state["state"])
+        self._failures = int(state["failures"])
+        self._probes_ok = int(state["probes_ok"])
+        self._opened_at = (
+            -np.inf if state["opened_at"] is None else float(state["opened_at"])
+        )
+        self._transitions = int(state["transitions"])
+
     # -- outcomes ------------------------------------------------------------
 
     def record_success(self, now: float) -> None:

@@ -28,6 +28,8 @@ reputation average (availability-aware selection) instead of blocking it.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.errors import (
@@ -154,6 +156,23 @@ class ResilientTrustSource:
         """Move the query clock forward to ``t`` (never backwards)."""
         if t > self.now:
             self.now = float(t)
+
+    def state_dict(self) -> dict:
+        """The source's restorable state (JSON-compatible): query clock,
+        breaker state and the generator state behind latency samples and
+        backoff jitter."""
+        return {
+            "now": self.now,
+            "breaker": self.breaker.state_dict(),
+            "rng": _jsonify_rng_state(self._rng.bit_generator.state),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Restore state captured by :meth:`state_dict` (also after a JSON
+        round-trip)."""
+        self.now = float(state["now"])
+        self.breaker.restore(state["breaker"])
+        self._rng.bit_generator.state = _unjsonify_rng_state(state["rng"])
 
     def bind_metrics(self, metrics: MetricsRegistry) -> None:
         """Adopt ``metrics`` for the source *and* its circuit breaker.
@@ -305,3 +324,23 @@ class RecommenderAvailability:
     def as_filter(self):
         """The ``(entity, now) -> bool`` callable Reputation expects."""
         return self.available
+
+
+def _jsonify_rng_state(state: Any) -> Any:
+    """Recursively coerce numpy scalars in a bit-generator state to Python."""
+    if isinstance(state, dict):
+        return {k: _jsonify_rng_state(v) for k, v in state.items()}
+    if isinstance(state, np.ndarray):
+        return {"__ndarray__": state.tolist(), "dtype": str(state.dtype)}
+    if isinstance(state, np.generic):
+        return state.item()
+    return state
+
+
+def _unjsonify_rng_state(state: Any) -> Any:
+    """Invert :func:`_jsonify_rng_state` after a JSON round-trip."""
+    if isinstance(state, dict):
+        if "__ndarray__" in state:
+            return np.array(state["__ndarray__"], dtype=state["dtype"])
+        return {k: _unjsonify_rng_state(v) for k, v in state.items()}
+    return state

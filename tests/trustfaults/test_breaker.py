@@ -1,5 +1,7 @@
 """Tests for the circuit breaker and retry backoff."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,67 @@ class TestBackoffPolicy:
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             BackoffPolicy(**kwargs)
+
+
+class TestBreakerStateRoundTrip:
+    """``state_dict``/``restore`` carry every field the state machine reads."""
+
+    @staticmethod
+    def _drive(breaker, steps):
+        out = []
+        for now, ok in steps:
+            if ok:
+                breaker.record_success(now)
+            else:
+                breaker.record_failure(now)
+            out.append((breaker.state(now), breaker.transition_count))
+        return out
+
+    def test_never_opened_breaker_encodes_opened_at_as_none(self):
+        breaker = CircuitBreaker()
+        state = breaker.state_dict()
+        assert state == {
+            "state": "closed",
+            "failures": 0,
+            "probes_ok": 0,
+            "opened_at": None,
+            "transitions": 0,
+        }
+        clone = CircuitBreaker()
+        clone.record_failure(0.0)
+        clone.restore(json.loads(json.dumps(state)))
+        assert clone._opened_at == -np.inf
+        assert clone.state_dict() == state
+
+    @pytest.mark.parametrize(
+        "history",
+        [
+            [(0.0, False)],  # closed, one failure counted
+            [(0.0, False), (1.0, False), (2.0, False)],  # open
+            [(0.0, False), (1.0, False), (2.0, False), (60.0, True)],  # closed
+            [(0.0, False)] * 3 + [(55.0, False)],  # probe failed, reopened
+        ],
+    )
+    def test_round_trip_resumes_the_same_machine(self, history):
+        breaker = CircuitBreaker(probe_successes=2)
+        self._drive(breaker, history)
+        state = breaker.state_dict()
+        assert state["opened_at"] == (
+            None if np.isneginf(breaker._opened_at) else breaker._opened_at
+        )
+        clone = CircuitBreaker(probe_successes=2)
+        clone.restore(json.loads(json.dumps(state)))
+        assert clone.state_dict() == state
+        future = [(70.0, True), (71.0, False), (72.0, False), (73.0, False),
+                  (130.0, True), (131.0, True)]
+        assert self._drive(clone, future) == self._drive(breaker, future)
+
+    def test_open_breaker_keeps_its_cooldown(self):
+        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0)
+        breaker.record_failure(5.0)
+        clone = CircuitBreaker(failure_threshold=1, cooldown=10.0)
+        clone.restore(breaker.state_dict())
+        assert clone.state_dict()["state"] == "open"
+        assert clone.state_dict()["opened_at"] == 5.0
+        assert not clone.allows(14.9)
+        assert clone.allows(15.0)

@@ -1,5 +1,7 @@
 """Tests for the resilient trust-query path (timeout/backoff/breaker)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,49 @@ class TestRecommenderAvailability:
         fn = avail.as_filter()
         assert fn("z", 0.0) is False
         assert fn("w", 0.0) is True
+
+
+class TestSourceStateRoundTrip:
+    """``state_dict``/``restore``: clock, breaker and generator state."""
+
+    def _source(self, grid, rng):
+        return ResilientTrustSource(
+            grid,
+            fault=TrustSourceFault(outages=((0.0, 100.0),), latency_mean=0.1),
+            config=TrustQueryConfig(failure_threshold=2, cooldown=20.0),
+            rng=rng,
+        )
+
+    @staticmethod
+    def _outcomes(source, times):
+        out = []
+        for t in times:
+            source.advance(t)
+            try:
+                source.check()
+                out.append("ok")
+            except (TrustQueryTimeout, TrustSourceUnavailable) as exc:
+                out.append(type(exc).__name__)
+            out.append(source.state_dict())
+        return out
+
+    def test_open_breaker_round_trips_through_json(self, small_grid):
+        source = self._source(small_grid, 4)
+        self._outcomes(source, [1.0, 2.0])
+        state = source.state_dict()
+        assert state["breaker"]["state"] == "open"
+        assert state["now"] == 2.0
+        clone = self._source(small_grid, 99)
+        clone.restore(json.loads(json.dumps(state)))
+        assert clone.state_dict() == state
+        times = [10.0, 30.0, 60.0, 110.0, 111.0, 150.0]
+        assert self._outcomes(clone, times) == self._outcomes(source, times)
+
+    def test_fresh_source_round_trips(self, small_grid):
+        source = self._source(small_grid, 4)
+        state = source.state_dict()
+        assert state["breaker"]["opened_at"] is None
+        clone = self._source(small_grid, 7)
+        clone.restore(json.loads(json.dumps(state)))
+        assert clone.breaker._opened_at == -np.inf
+        assert clone.state_dict() == state
