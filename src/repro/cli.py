@@ -834,16 +834,11 @@ def _cmd_trustfaults(
 
 
 def _cmd_bench(target: str, output: str | None, repeats: int) -> str:
-    from repro.experiments.trustbench import (
-        DEFAULT_ARTIFACT,
-        render_sweep,
-        run_sweep,
-        write_artifact,
-    )
+    from repro.experiments.trustbench import render_sweep, run_sweep, write_artifact
 
     assert target == "trust"  # argparse choices guard
     payload = run_sweep(repeats=repeats)
-    path = write_artifact(payload, output if output is not None else DEFAULT_ARTIFACT)
+    path = write_artifact(payload, output)
     return "\n".join([render_sweep(payload), "", f"perf trajectory written to {path}"])
 
 

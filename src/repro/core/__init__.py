@@ -49,12 +49,6 @@ from repro.core.levels import (
     offered_levels,
     required_levels,
 )
-from repro.core.persistence import (
-    load_trust_state,
-    save_trust_state,
-    trust_table_from_dict,
-    trust_table_to_dict,
-)
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.reputation import Reputation
 from repro.core.store import (
@@ -113,10 +107,6 @@ __all__ = [
     "offered_levels",
     "required_levels",
     "AllianceRegistry",
-    "trust_table_to_dict",
-    "trust_table_from_dict",
-    "save_trust_state",
-    "load_trust_state",
     "STORE_SCHEMA",
     "TrustStoreError",
     "RestoredTrustPlane",

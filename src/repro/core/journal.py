@@ -256,7 +256,14 @@ class JournalReplay:
     reason: str | None
 
 
-_UNSET = object()
+class _Unset:
+    """Type of the "argument not given" sentinel (``None`` is a value)."""
+
+    def __repr__(self) -> str:
+        return "<unset>"
+
+
+_UNSET = _Unset()
 
 
 def read_journal(

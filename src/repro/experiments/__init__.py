@@ -34,7 +34,6 @@ from repro.experiments.report import (
     generate_report,
     write_report,
 )
-from repro.experiments.cache import CellCache, cell_key
 from repro.experiments.parallel import run_paired_cell_parallel
 from repro.experiments.runner import CellResult, run_paired_cell, run_single
 from repro.experiments.series import (
@@ -84,8 +83,6 @@ __all__ = [
     "improvement_vs_load_series",
     "reproduce_figure1",
     "CellResult",
-    "CellCache",
-    "cell_key",
     "run_paired_cell",
     "run_paired_cell_parallel",
     "run_single",

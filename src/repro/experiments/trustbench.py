@@ -487,9 +487,10 @@ def render_sweep(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def write_artifact(payload: dict, path: str | Path = DEFAULT_ARTIFACT) -> Path:
-    """Validate and write the artifact; returns the path."""
+def write_artifact(payload: dict, path: str | Path | None = None) -> Path:
+    """Validate and write the artifact (default :data:`DEFAULT_ARTIFACT`);
+    returns the path."""
     validate_trust_payload(payload)
-    path = Path(path)
+    path = Path(path) if path is not None else DEFAULT_ARTIFACT
     path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     return path

@@ -183,9 +183,9 @@ class AgentFleet:
                 :class:`~repro.trustfaults.credibility.CredibilityWeights`);
                 only meaningful together with ``gamma_weights``.
             internal_table: optional pre-populated internal DTT/RTT —
-                typically restored from a persistent snapshot
-                (:func:`repro.core.store.restore_trust_store`) so a
-                restarted session resumes with its accumulated trust
+                typically the table of a recovered durable trust plane
+                (:meth:`repro.core.journal.DurableTrustPlane.recover`) so
+                a restarted session resumes with its accumulated trust
                 knowledge instead of an empty table.
         """
         n_cd, n_rd, _ = grid_table.shape

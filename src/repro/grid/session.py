@@ -307,28 +307,6 @@ CredibilityWeights`, recommenders are scored against every realised
         """The session clock (advances across rounds)."""
         return self._now
 
-    def snapshot_trust(self, directory):
-        """Snapshot the session's entity-level trust plane to ``directory``.
-
-        Persists the fleet's shared internal DTT/RTT (and, for Γ-blended
-        fleets, the learned recommender weights) as a zero-copy
-        ``repro.trust.store/v1`` snapshot — per-domain column segments
-        plus a digest-pinned manifest.  Returns the manifest path; attach
-        it to a service checkpoint with
-        :func:`repro.service.checkpoint.attach_trust_store`, and seed a
-        restarted session by passing the restored table to
-        :meth:`AgentFleet.for_table <repro.grid.agents.AgentFleet.for_table>`
-        via ``internal_table=``.
-        """
-        from repro.core.store import snapshot_trust_store
-
-        assert self.fleet is not None
-        engine = self.fleet.cd_agents[0].engine if self.fleet.cd_agents else None
-        weights = engine.reputation.weights if engine is not None else None
-        return snapshot_trust_store(
-            directory, self.fleet.internal_table, weights
-        )
-
     def journal_trust(self, root, *, config=None, metrics=None):
         """Make the session's trust plane crash-durable under ``root``.
 

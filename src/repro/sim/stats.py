@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["RunningStats", "TimeWeightedStats"]
+__all__ = ["RunningStats"]
 
 
 @dataclass
@@ -84,48 +84,3 @@ class RunningStats:
         merged.maximum = max(self.maximum, other.maximum)
         return merged
 
-
-@dataclass
-class TimeWeightedStats:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; the accumulator weights
-    each value by how long it persisted.  Used e.g. for average queue length.
-    """
-
-    last_time: float = 0.0
-    last_value: float = 0.0
-    _area: float = 0.0
-    _origin: float | None = None
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal takes ``value`` from ``time`` onwards.
-
-        Raises:
-            ValueError: if ``time`` precedes the previous update.
-        """
-        if self._origin is None:
-            self._origin = time
-        elif time < self.last_time:
-            raise ValueError(
-                f"updates must be time-ordered: {time} < {self.last_time}"
-            )
-        else:
-            self._area += self.last_value * (time - self.last_time)
-        self.last_time = time
-        self.last_value = value
-
-    def average(self, until: float) -> float:
-        """Time-weighted mean over ``[first update, until]``.
-
-        Returns 0 before any update or over a zero-length window.
-        """
-        if self._origin is None:
-            return 0.0
-        if until < self.last_time:
-            raise ValueError(f"until={until} precedes last update {self.last_time}")
-        span = until - self._origin
-        if span <= 0:
-            return 0.0
-        area = self._area + self.last_value * (until - self.last_time)
-        return area / span

@@ -186,43 +186,59 @@ class TestTrustKernelInstrumentation:
         assert session.metrics.snapshot() == {}
 
 
-class TestTrustSnapshot:
-    """Session-level zero-copy trust persistence and restart seeding."""
+class TestTrustJournal:
+    """Session-level durable trust plane and restart seeding."""
 
-    def test_snapshot_and_reseed_resumes_with_knowledge(self, tmp_path):
-        from repro.core.store import restore_trust_store
+    def test_recovered_plane_reseeds_with_knowledge(self, tmp_path):
+        from repro.core.journal import DurableTrustPlane
         from repro.grid.trust_table import GridTrustTable
 
         session = make_session()
+        session.journal_trust(tmp_path)
         session.run_round(30)
         session.run_round(30)
         internal = session.fleet.internal_table
         assert list(internal.items()), "rounds should populate the DTT/RTT"
 
-        manifest = session.snapshot_trust(tmp_path)
-        assert manifest.is_file()
-        restored = restore_trust_store(tmp_path)
-        assert dict(restored.table.items()) == dict(internal.items())
+        pin = session.checkpoint_trust()
+        assert pin["offset"] > 0, "the rounds' mutations reach the journal"
+        plane = DurableTrustPlane.recover(tmp_path)
+        try:
+            assert dict(plane.table.items()) == dict(internal.items())
 
-        # A restarted fleet seeded with the restored table resumes with
-        # the accumulated trust knowledge instead of a blank slate.
-        shape = session.grid.trust_table.shape
-        fleet = AgentFleet.for_table(
-            GridTrustTable(*shape), internal_table=restored.table
-        )
-        assert fleet.internal_table is restored.table
-        assert dict(fleet.internal_table.items()) == dict(internal.items())
+            # A restarted fleet seeded with the recovered table resumes
+            # with the accumulated trust knowledge instead of a blank slate.
+            shape = session.grid.trust_table.shape
+            fleet = AgentFleet.for_table(
+                GridTrustTable(*shape), internal_table=plane.table
+            )
+            assert fleet.internal_table is plane.table
+            assert dict(fleet.internal_table.items()) == dict(internal.items())
+        finally:
+            plane.close()
+            session.trust_plane.close()
 
-    def test_gamma_fleet_snapshot_keeps_weights(self, tmp_path):
-        from repro.core.store import restore_trust_store
-        from repro.grid.trust_table import GridTrustTable
+    def test_gamma_fleet_recovers_weights(self, tmp_path):
+        from repro.core.journal import DurableTrustPlane
 
         grid = make_grid()
         fleet = AgentFleet.for_table(
             grid.trust_table, gamma_weights=(0.7, 0.3)
         )
         session = make_session(grid=grid, fleet=fleet)
+        session.journal_trust(tmp_path)
         session.run_round(25)
-        manifest = session.snapshot_trust(tmp_path)
-        restored = restore_trust_store(tmp_path)
-        assert restored.weights is not None
+        session.checkpoint_trust()
+        plane = DurableTrustPlane.recover(tmp_path)
+        try:
+            assert plane.weights is not None
+        finally:
+            plane.close()
+            session.trust_plane.close()
+
+    def test_checkpoint_without_plane_is_refused(self):
+        from repro.errors import ServiceError
+
+        session = make_session()
+        with pytest.raises(ServiceError, match="journal_trust"):
+            session.checkpoint_trust()

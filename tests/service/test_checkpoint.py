@@ -247,85 +247,26 @@ class TestKillAndRestoreProperty:
         assert_same_settlement(resumed, baseline)
 
 
-class TestTrustStoreSidecar:
-    """The optional zero-copy trust-store reference pinned by digest."""
-
-    def _snapshot(self, tmp_path):
-        from repro.core import TrustTable, snapshot_trust_store
-        from repro.core.context import EXECUTION
-
-        table = TrustTable()
-        table.record("cd:0", "rd:0", EXECUTION, 0.7, 10.0)
-        table.record("cd:1", "rd:0", EXECUTION, 0.4, 20.0)
-        return snapshot_trust_store(tmp_path / "trust", table)
-
-    def test_attach_and_resolve_round_trip(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        validate_checkpoint(payload)
-        path = save_checkpoint(payload, tmp_path / "svc.json")
-        loaded = load_checkpoint(path)
-        assert resolve_trust_store(loaded) == manifest.parent
-
-    def test_resolve_without_sidecar_is_none(self, medium_scenario):
-        from repro.service.checkpoint import resolve_trust_store
-
-        assert resolve_trust_store(kill(medium_scenario, 1)) is None
-
-    def test_tampered_manifest_is_refused(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        manifest.write_text(manifest.read_text() + "\n")
-        with pytest.raises(CheckpointError, match="digest"):
-            resolve_trust_store(payload)
-
-    def test_missing_manifest_is_refused(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        manifest.unlink()
-        with pytest.raises(CheckpointError, match="missing"):
-            resolve_trust_store(payload)
-
-    def test_attach_requires_existing_manifest(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store
-
-        payload = kill(medium_scenario, 1)
-        with pytest.raises(CheckpointError, match="does not exist"):
-            attach_trust_store(payload, tmp_path / "absent" / "manifest.json")
-
-    def test_malformed_sidecar_is_rejected(self, medium_scenario):
-        payload = kill(medium_scenario, 1)
-        payload["trust_store"] = {"schema": "repro.trust.store/v1"}
-        with pytest.raises(CheckpointError, match="sidecar"):
-            validate_checkpoint(payload)
-
-    def test_restore_from_sidecar_recovers_the_plane(self, tmp_path, medium_scenario):
-        from repro.core import restore_trust_store
-        from repro.core.context import EXECUTION
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        payload = json.loads(json.dumps(payload))  # file round-trip shape
-        directory = resolve_trust_store(payload)
-        restored = restore_trust_store(directory)
-        record = restored.table.get("cd:0", "rd:0", EXECUTION)
-        assert record is not None and record.value == 0.7
-
-
 class TestTrustJournalSidecar:
     """Delta checkpoints: the ``trust_journal`` sidecar pins a durable
     trust plane by root, generation, base digest, and journal offset."""
+
+    def test_trust_store_sidecar_is_refused(self, tmp_path, medium_scenario):
+        # An older v1 file may still pin its trust state with a
+        # ``trust_store`` sidecar; resume never reads it, so loading the
+        # file must refuse it rather than quietly drop the pinned state.
+        payload = kill(medium_scenario, 1)
+        payload["trust_store"] = {
+            "schema": "repro.trust.store/v1",
+            "manifest": str(tmp_path / "trust" / "manifest.json"),
+            "sha256": "0" * 64,
+        }
+        with pytest.raises(CheckpointError, match="trust_journal"):
+            validate_checkpoint(payload)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="trust_store"):
+            load_checkpoint(path)
 
     def _plane(self, tmp_path):
         from repro.core import DurableTrustPlane, TrustTable

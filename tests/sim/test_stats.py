@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stats import RunningStats, TimeWeightedStats
+from repro.sim.stats import RunningStats
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=100
@@ -63,35 +63,3 @@ class TestRunningStats:
         assert lo <= s.mean <= hi
         assert hi > lo
 
-
-class TestTimeWeightedStats:
-    def test_piecewise_constant_average(self):
-        tw = TimeWeightedStats()
-        tw.update(0.0, 2.0)   # value 2 on [0, 10)
-        tw.update(10.0, 4.0)  # value 4 on [10, 20]
-        assert tw.average(until=20.0) == pytest.approx(3.0)
-
-    def test_average_before_any_update(self):
-        assert TimeWeightedStats().average(until=10.0) == 0.0
-
-    def test_zero_span(self):
-        tw = TimeWeightedStats()
-        tw.update(5.0, 3.0)
-        assert tw.average(until=5.0) == 0.0
-
-    def test_out_of_order_update_rejected(self):
-        tw = TimeWeightedStats()
-        tw.update(10.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(5.0, 2.0)
-
-    def test_until_before_last_update_rejected(self):
-        tw = TimeWeightedStats()
-        tw.update(10.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.average(until=5.0)
-
-    def test_nonzero_origin(self):
-        tw = TimeWeightedStats()
-        tw.update(10.0, 6.0)
-        assert tw.average(until=20.0) == pytest.approx(6.0)

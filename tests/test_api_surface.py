@@ -20,6 +20,7 @@ PACKAGES = [
     "repro.workloads",
     "repro.scheduling",
     "repro.faults",
+    "repro.trustfaults",
     "repro.obs",
     "repro.security",
     "repro.metrics",
@@ -32,11 +33,8 @@ MODULES = [
     "repro.errors",
     "repro.cli",
     "repro.core.ets",
-    "repro.core.persistence",
     "repro.grid.session",
     "repro.grid.behavior",
-    "repro.sim.process",
-    "repro.sim.resources",
     "repro.sim.mmpp",
     "repro.scheduling.constraints",
     "repro.faults.model",
@@ -55,7 +53,6 @@ MODULES = [
     "repro.service.replay",
     "repro.service.service",
     "repro.security.plan",
-    "repro.experiments.cache",
     "repro.experiments.parallel",
     "repro.experiments.series",
     "repro.experiments.validation",
